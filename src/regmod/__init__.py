@@ -4,10 +4,7 @@ from .boolean_core import (
     AtomSet,
     Idempotent,
     PartitionOfUnity,
-    complement,
     disjointify,
-    join,
-    meet,
     restrict_partition,
     sup_family,
 )
@@ -45,7 +42,7 @@ from .errors import (
     ZeroIdempotentError,
 )
 from .fields import Field, PrimeField, RationalField, Scalar, is_prime
-from .module_file import ModuleFile, parse_module_file, render_module_file
+from .module_file import parse_module_file, render_module_file
 from .module_space import (
     GeneratorSet,
     IndependenceResult,
@@ -56,41 +53,34 @@ from .module_space import (
     independence_test,
     membership,
     mix_vectors,
-    reassemble,
     split_product,
-    support_vector,
 )
 from .oracle import RankProfile, atom_rank_profile, oracle_passport, oracle_verify_iso
 from .regular_algebra import (
     AlgebraElement,
     StepForm,
     StepTerm,
-    arith,
-    inversion,
     mix_scalars,
-    step_form,
-    support,
 )
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomSet", "Idempotent", "PartitionOfUnity", "meet", "join", "complement",
-    "sup_family", "restrict_partition", "disjointify",
+    "AtomSet", "Idempotent", "PartitionOfUnity", "sup_family",
+    "restrict_partition", "disjointify",
     "Field", "PrimeField", "RationalField", "Scalar", "is_prime",
-    "AlgebraElement", "StepForm", "StepTerm", "arith", "inversion", "support",
-    "step_form", "mix_scalars",
+    "AlgebraElement", "StepForm", "StepTerm", "mix_scalars",
     "ModuleVector", "GeneratorSet", "MembershipResult", "IndependenceResult",
-    "support_vector", "mix_vectors", "combine", "membership",
-    "independence_test", "full_support_element", "split_product", "reassemble",
+    "mix_vectors", "combine", "membership", "independence_test",
+    "full_support_element", "split_product",
     "Passport", "PassportEntry", "PiecewiseBasis", "IsoMap", "IsoPiece",
     "PivotStep", "EliminationTrace", "FinitelyDimensionalReport",
     "regular_eliminate", "passport", "atom_rank", "kappa",
     "is_strictly_homogeneous", "extract_basis", "piecewise_basis", "iso_check",
     "build_isomorphism", "finitely_dimensional_report",
     "RankProfile", "atom_rank_profile", "oracle_passport", "oracle_verify_iso",
-    "ModuleFile", "parse_module_file", "render_module_file",
+    "parse_module_file", "render_module_file",
     "SplitMix64",
     "RegmodError", "ContextMismatchError", "LengthMismatchError",
     "NotMinorantError", "ZeroIdempotentError", "NotFaithfulError",

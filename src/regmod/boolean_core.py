@@ -134,18 +134,6 @@ class Idempotent:
         return self.render()
 
 
-def meet(e: Idempotent, f: Idempotent) -> Idempotent:
-    return e.meet(f)
-
-
-def join(e: Idempotent, f: Idempotent) -> Idempotent:
-    return e.join(f)
-
-
-def complement(e: Idempotent) -> Idempotent:
-    return e.complement()
-
-
 def sup_family(es: Iterable[Idempotent], context: Optional[AtomSet] = None) -> Idempotent:
     """Supremum of a family; the empty supremum needs an explicit context."""
     acc: Optional[Idempotent] = None

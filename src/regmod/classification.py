@@ -28,6 +28,7 @@ from .fields import Field
 from .module_space import (
     GeneratorSet,
     ModuleVector,
+    echelon,
     fiber_rank,
     membership,
 )
@@ -229,18 +230,34 @@ def is_strictly_homogeneous(gens: GeneratorSet, e: Idempotent) -> bool:
     return kappa(gens, e) is not None
 
 
+def _selected_basis(
+    gens: GeneratorSet, selection: dict[int, Sequence[int]], rank: int
+) -> list[ModuleVector]:
+    """Slot i takes, at every atom q, the fiber of generator selection[q][i]."""
+    d, n = len(gens.context), gens.ambient_dim
+    basis: list[ModuleVector] = []
+    for slot in range(rank):
+        grid = [[gens.field.zero] * d for _ in range(n)]
+        for q, chosen in selection.items():
+            source = gens.gens[chosen[slot]]
+            for c in range(n):
+                grid[c][q] = source.coords[c].values[q]
+        basis.append(ModuleVector.from_grid(gens.field, gens.context, grid))
+    return basis
+
+
 def extract_basis(
     gens: GeneratorSet, piece: Idempotent, rank: int, strategy: str = "first_fit"
 ) -> list[ModuleVector]:
     """A free basis of the module restricted to a constant-rank piece.
 
-    At every atom of the piece a size-`rank` subset of generator indices
-    with independent fibers is chosen greedily — ascending indices for
-    first_fit, descending for last_fit, which yields the lexicographically
-    first (resp. last) such subset.  Atoms sharing a selection are grouped,
-    and slot i of the basis mixes the i-th smallest selected generator of
-    each group.  The result is independent on the piece and every generator
-    is a combination of it there.
+    At every atom of the piece the pivot columns of the echelon form of the
+    generator fibers select a size-`rank` subset of generator indices with
+    independent fibers — taken in ascending order for first_fit, descending
+    for last_fit, which yields the lexicographically first (resp. last) such
+    subset.  Slot i of the basis mixes, atom by atom, the i-th smallest
+    selected generator.  The result is independent on the piece and every
+    generator is a combination of it there.
     """
     if piece.context != gens.context:
         raise ContextMismatchError("idempotent over a different atom set")
@@ -248,39 +265,19 @@ def extract_basis(
         raise ZeroIdempotentError("basis extraction needs a nonzero piece")
     if strategy not in ("first_fit", "last_fit"):
         raise ValidationError(f"unknown strategy {strategy!r}")
-    field = gens.field
-    m = len(gens)
-    order = range(m) if strategy == "first_fit" else range(m - 1, -1, -1)
-    selections: dict[tuple[int, ...], int] = {}
+    last = len(gens) - 1
+    selection: dict[int, Sequence[int]] = {}
     for q in piece.atom_indices():
-        fibers = gens.fiber_matrix(q)
-        full_rank = fiber_rank(fibers, field)
-        if full_rank != rank:
+        columns = gens.fiber_columns(q)
+        if strategy == "last_fit":
+            columns = [row[::-1] for row in columns]
+        _, pivots = echelon(columns, gens.field)
+        if len(pivots) != rank:
             raise RankMismatchError(
-                f"rank {full_rank} at atom {gens.context.labels[q]}, expected {rank}"
+                f"rank {len(pivots)} at atom {gens.context.labels[q]}, expected {rank}"
             )
-        chosen: list[int] = []
-        picked: list[list] = []
-        for k in order:
-            if len(chosen) == rank:
-                break
-            if fiber_rank(picked + [fibers[k]], field) > len(picked):
-                picked.append(fibers[k])
-                chosen.append(k)
-        key = tuple(sorted(chosen))
-        selections[key] = selections.get(key, 0) | (1 << q)
-    d = len(gens.context)
-    n = gens.ambient_dim
-    basis: list[ModuleVector] = []
-    for slot in range(rank):
-        grid = [[field.zero] * d for _ in range(n)]
-        for key, mask in selections.items():
-            source = gens.gens[key[slot]]
-            for q in Idempotent(gens.context, mask).atom_indices():
-                for c in range(n):
-                    grid[c][q] = source.coords[c].values[q]
-        basis.append(ModuleVector.from_grid(field, gens.context, grid))
-    return basis
+        selection[q] = pivots if strategy == "first_fit" else sorted(last - c for c in pivots)
+    return _selected_basis(gens, selection, rank)
 
 
 @dataclass(frozen=True)
@@ -378,35 +375,44 @@ class IsoMap:
 def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
     """Explicit isomorphism between two presentations with equal passports.
 
-    On each passport piece a first_fit basis is extracted on both sides and
-    matched slot by slot; the images of the source generators are assembled
-    across pieces for independent verification.
+    One echelon form per atom and side gives everything: the per-atom ranks,
+    which must agree and whose groups, by ascending rank, are the passport
+    pieces (the partition is unique); the pivot columns, which are the
+    first_fit selections of both bases; and, in row `slot` of the source's
+    reduced form, every source generator's coordinate on basis slot `slot`.
+    The bases are matched slot by slot, and the images of the source
+    generators are assembled across pieces for independent verification.
     """
     if not gens.same_algebra(other):
         raise ContextMismatchError("presentations over different algebras")
-    source_pp = passport(gens)
-    if source_pp != passport(other):
-        raise PassportMismatchError("passports differ; modules are not isomorphic")
     field, context = gens.field, gens.context
+    d = len(context)
+    source = [echelon(gens.fiber_columns(q), field) for q in range(d)]
+    target = [echelon(other.fiber_columns(q), field)[1] for q in range(d)]
+    ranks = [len(pivots) for _, pivots in source]
+    if ranks != [len(pivots) for pivots in target]:
+        raise PassportMismatchError("passports differ; modules are not isomorphic")
     pieces: list[IsoPiece] = []
-    for entry in source_pp.entries:
-        source_basis = tuple(extract_basis(gens, entry.piece, entry.rank))
-        target_basis = tuple(extract_basis(other, entry.piece, entry.rank))
-        if entry.rank == 0:
-            coords: tuple[tuple[AlgebraElement, ...], ...] = tuple(
-                () for _ in gens.gens
+    for rank in sorted(set(ranks)):
+        atoms = [q for q in range(d) if ranks[q] == rank]
+        coords = tuple(
+            tuple(
+                AlgebraElement(field, context, tuple(
+                    source[q][0][slot][k] if ranks[q] == rank else field.zero
+                    for q in range(d)
+                ))
+                for slot in range(rank)
             )
-        else:
-            local = GeneratorSet(field, context, gens.ambient_dim, source_basis)
-            rows = []
-            for g in gens.gens:
-                result = membership(g, local, entry.piece)
-                # the basis spans the module on its piece, so this cannot fail
-                assert result.contained and result.coefficients is not None
-                rows.append(result.coefficients)
-            coords = tuple(rows)
+            for k in range(len(gens))
+        )
         pieces.append(
-            IsoPiece(entry.piece, entry.rank, source_basis, target_basis, coords)
+            IsoPiece(
+                Idempotent(context, sum(1 << q for q in atoms)),
+                rank,
+                tuple(_selected_basis(gens, {q: source[q][1] for q in atoms}, rank)),
+                tuple(_selected_basis(other, {q: target[q] for q in atoms}, rank)),
+                coords,
+            )
         )
     images = []
     for k in range(len(gens.gens)):
@@ -420,7 +426,7 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
         context,
         gens.ambient_dim,
         other.ambient_dim,
-        source_pp.partition(),
+        PartitionOfUnity(tuple(pc.piece for pc in pieces)),
         tuple(pieces),
         tuple(images),
     )

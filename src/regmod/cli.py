@@ -21,7 +21,7 @@ from .classification import (
     kappa,
     passport,
 )
-from .errors import RegmodError, ValidationError
+from .errors import ParseError, RegmodError, ValidationError
 from .fields import Field, PrimeField, RationalField
 from .module_file import parse_module_file, render_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
@@ -31,8 +31,12 @@ from .verify import run_suite
 
 
 def _load(path: str) -> GeneratorSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_module_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return parse_module_file(text)
 
 
 def _passport_json(pp: Passport) -> list[dict]:

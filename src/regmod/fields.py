@@ -8,6 +8,7 @@ denominator (the Fraction constructor guarantees that).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -16,11 +17,21 @@ from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all thirteen witnesses above
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+_FP_SCALAR = re.compile(r"[0-9]+")
+_RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below 3.3e24.
+
+    Larger n raise ValidationError: these witnesses cannot decide them.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValidationError(f"{n} is too large for the exact primality test")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -88,11 +99,13 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def parse(self, text: str) -> int:
+        if not _FP_SCALAR.fullmatch(text):
+            raise ValidationError(f"{text!r} is not a decimal integer")
         try:
             v = int(text, 10)
-        except ValueError:
-            raise ValidationError(f"{text!r} is not a decimal integer") from None
-        if not 0 <= v < self.p:
+        except ValueError:  # more digits than int() converts: far past any p
+            v = self.p
+        if v >= self.p:
             raise ValidationError(f"{text!r} out of range for modulus {self.p}")
         return v
 
@@ -140,16 +153,16 @@ class RationalField:
         return 1 / a
 
     def parse(self, text: str) -> Fraction:
-        num, sep, den = text.partition("/")
+        match = _RATIONAL_SCALAR.fullmatch(text)
+        if not match:
+            raise ValidationError(f"{text!r} is not a rational")
+        num, den = match.groups()
+        if den is not None and not den.strip("0"):
+            raise ValidationError(f"{text!r}: denominator must be nonzero")
         try:
-            if not sep:
-                return Fraction(int(num, 10))
-            d = int(den, 10)
-            if d <= 0:
-                raise ValidationError(f"{text!r}: denominator must be positive")
-            return Fraction(int(num, 10), d)
-        except ValueError:
-            raise ValidationError(f"{text!r} is not a rational") from None
+            return Fraction(int(num, 10), 1 if den is None else int(den, 10))
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(f"{text!r} has too many digits") from None
 
     def render(self, v: Fraction) -> str:
         if v.denominator == 1:

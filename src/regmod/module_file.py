@@ -5,15 +5,15 @@ Layout: an object with `field` ({"kind":"fp","p":<prime>} or
 `generators` — m arrays of n arrays of |Δ| scalar strings.  Scalars are
 strings, never JSON numbers, so exact values survive any tooling.
 
-Structural problems (bad JSON, wrong types, missing keys) raise ParseError;
-semantic ones (dimensions, duplicate labels, non-prime modulus, scalars that
-do not parse in the declared field) raise ValidationError.
+Structural problems (bad JSON, duplicate or unknown keys, wrong types,
+missing keys) raise ParseError; semantic ones (dimensions, duplicate labels,
+non-prime modulus, scalars that do not parse in the declared field) raise
+ValidationError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .boolean_core import AtomSet
 from .errors import ParseError, ValidationError
@@ -21,41 +21,22 @@ from .fields import Field, PrimeField, RationalField
 from .module_space import GeneratorSet, ModuleVector
 
 
-@dataclass(frozen=True)
-class ModuleFile:
-    field: Field
-    atoms: tuple[str, ...]
-    ambient_dim: int
-    generators: tuple[tuple[tuple[str, ...], ...], ...]
+def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
-    def to_generator_set(self) -> GeneratorSet:
-        context = AtomSet(self.atoms)
-        gens = []
-        for i, grid in enumerate(self.generators):
-            rows = []
-            for j, row in enumerate(grid):
-                parsed = []
-                for k, text in enumerate(row):
-                    try:
-                        parsed.append(self.field.parse(text))
-                    except (ParseError, ValidationError) as exc:
-                        raise ValidationError(
-                            f"generators[{i}][{j}][{k}]: {exc}"
-                        ) from exc
-                rows.append(parsed)
-            gens.append(ModuleVector.from_grid(self.field, context, rows))
-        return GeneratorSet(self.field, context, self.ambient_dim, tuple(gens))
 
-    @classmethod
-    def from_generator_set(cls, gens: GeneratorSet) -> "ModuleFile":
-        grids = tuple(
-            tuple(
-                tuple(gens.field.render(v) for v in coord.values)
-                for coord in g.coords
-            )
-            for g in gens.gens
-        )
-        return cls(gens.field, gens.context.labels, gens.ambient_dim, grids)
+def _require_keys(obj: dict, where: str, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}{where}")
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r}{where}")
 
 
 def _field_from_payload(payload: object) -> Field:
@@ -63,11 +44,13 @@ def _field_from_payload(payload: object) -> Field:
         raise ParseError("'field' must be an object")
     kind = payload.get("kind")
     if kind == "fp":
-        p = payload.get("p")
+        _require_keys(payload, " in 'field'", ("kind", "p"))
+        p = payload["p"]
         if not isinstance(p, int) or isinstance(p, bool):
             raise ParseError("'field.p' must be an integer")
         return PrimeField(p)
     if kind == "rational":
+        _require_keys(payload, " in 'field'", ("kind",))
         return RationalField()
     raise ValidationError(f"field.kind must be 'fp' or 'rational', got {kind!r}")
 
@@ -75,14 +58,16 @@ def _field_from_payload(payload: object) -> Field:
 def parse_module_file(text: str) -> GeneratorSet:
     """Document text → validated presentation; errors carry their location."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer past the int-string digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
-    for key in ("field", "atoms", "ambient_dim", "generators"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}")
+    _require_keys(doc, "", ("field", "atoms", "ambient_dim", "generators"))
     field = _field_from_payload(doc["field"])
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
@@ -99,7 +84,8 @@ def parse_module_file(text: str) -> GeneratorSet:
     gens = doc["generators"]
     if not isinstance(gens, list):
         raise ParseError("'generators' must be a list")
-    grids = []
+    context = AtomSet(tuple(atoms))
+    vectors = []
     for i, grid in enumerate(gens):
         if not isinstance(grid, list):
             raise ParseError(f"generators[{i}] must be a list of coordinate rows")
@@ -115,10 +101,15 @@ def parse_module_file(text: str) -> GeneratorSet:
                 raise ValidationError(
                     f"generators[{i}][{j}] has {len(row)} values, expected {len(atoms)}"
                 )
-            rows.append(tuple(row))
-        grids.append(tuple(rows))
-    mf = ModuleFile(field, tuple(atoms), ambient, tuple(grids))
-    return mf.to_generator_set()
+            parsed = []
+            for k, scalar in enumerate(row):
+                try:
+                    parsed.append(field.parse(scalar))
+                except (ParseError, ValidationError) as exc:
+                    raise ValidationError(f"generators[{i}][{j}][{k}]: {exc}") from exc
+            rows.append(parsed)
+        vectors.append(ModuleVector.from_grid(field, context, rows))
+    return GeneratorSet(field, context, ambient, tuple(vectors))
 
 
 def _field_payload(field: Field) -> dict:
@@ -129,11 +120,13 @@ def _field_payload(field: Field) -> dict:
 
 def render_module_file(gens: GeneratorSet) -> str:
     """Canonical document text; parse_module_file inverts it exactly."""
-    mf = ModuleFile.from_generator_set(gens)
     doc = {
-        "field": _field_payload(mf.field),
-        "atoms": list(mf.atoms),
-        "ambient_dim": mf.ambient_dim,
-        "generators": [[list(row) for row in grid] for grid in mf.generators],
+        "field": _field_payload(gens.field),
+        "atoms": list(gens.context.labels),
+        "ambient_dim": gens.ambient_dim,
+        "generators": [
+            [[gens.field.render(v) for v in coord.values] for coord in g.coords]
+            for g in gens.gens
+        ],
     }
     return json.dumps(doc, indent=2) + "\n"

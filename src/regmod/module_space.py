@@ -10,7 +10,7 @@ answers are reassembled by mixing over partitions of the atom set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
 from .errors import (
@@ -144,119 +144,86 @@ class GeneratorSet:
         """Generator fibers at one atom, as rows of an m x n matrix over K."""
         return [list(g.fiber(atom_index)) for g in self.gens]
 
+    def fiber_columns(self, atom_index: int) -> list[list[Scalar]]:
+        """Generator fibers at one atom, as columns of an n x m matrix over K."""
+        return [
+            [g.coords[c].values[atom_index] for g in self.gens] for c in range(self.ambient_dim)
+        ]
+
     def same_algebra(self, other: "GeneratorSet") -> bool:
         return self.field == other.field and self.context == other.context
 
 
 # ---------------------------------------------------------------------------
-# Per-atom exact linear algebra.  Partial pivoting picks the first row with a
-# nonzero entry; exact arithmetic needs nothing smarter and the fixed rule
-# keeps results deterministic.
+# Per-atom exact linear algebra: every question is read off one reduced row
+# echelon form.  Partial pivoting picks the first row with a nonzero entry;
+# exact arithmetic needs nothing smarter and the fixed rule keeps results
+# deterministic.
 
 
-def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar], field: Field) -> Optional[list[Scalar]]:
-    """One solution of rows . x = rhs (free variables zero), or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def echelon(rows: list[list[Scalar]], field: Field) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form of a matrix over K, and its pivot columns.
+
+    Row r < len(pivots) has a one in column pivots[r] and zeros in every
+    other pivot column; the rows below are zero.  The pivot columns are the
+    greedy left-to-right choice of columns independent of those before.
+    """
     a = [list(r) for r in rows]
-    b = list(rhs)
+    m = len(a)
+    n = len(a[0]) if m else 0
     zero = field.zero
-    pivots: list[tuple[int, int]] = []
-    row = 0
+    pivots: list[int] = []
     for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
         pivot = next((r for r in range(row, m) if a[r][col] != zero), None)
         if pivot is None:
             continue
-        if pivot != row:
-            a[row], a[pivot] = a[pivot], a[row]
-            b[row], b[pivot] = b[pivot], b[row]
+        a[row], a[pivot] = a[pivot], a[row]
         inv = field.inv(a[row][col])
         a[row] = [field.mul(inv, v) for v in a[row]]
-        b[row] = field.mul(inv, b[row])
         for r in range(m):
             if r != row and a[r][col] != zero:
                 factor = a[r][col]
                 a[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[r], a[row])]
-                b[r] = field.sub(b[r], field.mul(factor, b[row]))
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if b[r] != zero:
-            return None
-    x = [zero] * n
-    for r, c in pivots:
-        x[c] = b[r]
+        pivots.append(col)
+    return a, pivots
+
+
+def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar], field: Field) -> Optional[list[Scalar]]:
+    """One solution of rows . x = rhs (free variables zero), or None."""
+    n = len(rows[0]) if rows else 0
+    reduced, pivots = echelon([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [field.zero] * n
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][n]
     return x
 
 
 def kernel_sample(rows: list[list[Scalar]], field: Field) -> Optional[list[Scalar]]:
     """A nonzero x with rows . x = 0, or None when the kernel is trivial."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if n == 0:
-        return None
-    a = [list(r) for r in rows]
-    zero, one = field.zero, field.one
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col] != zero), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            a[row], a[pivot] = a[pivot], a[row]
-        inv = field.inv(a[row][col])
-        a[row] = [field.mul(inv, v) for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != zero:
-                factor = a[r][col]
-                a[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[r], a[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    free = next((c for c in range(n) if c not in pivot_cols), None)
+    n = len(rows[0]) if rows else 0
+    reduced, pivots = echelon(rows, field)
+    free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         return None
-    x = [zero] * n
-    x[free] = one
-    for r, c in enumerate(pivot_cols):
-        x[c] = field.neg(a[r][free])
+    x = [field.zero] * n
+    x[free] = field.one
+    for r, c in enumerate(pivots):
+        x[c] = field.neg(reduced[r][free])
     return x
 
 
 def fiber_rank(rows: list[list[Scalar]], field: Field) -> int:
-    """Rank of a small matrix over K by plain elimination."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    zero = field.zero
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if a[r][col] != zero), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = field.inv(a[rank][col])
-        a[rank] = [field.mul(inv, v) for v in a[rank]]
-        for r in range(rank + 1, m):
-            if a[r][col] != zero:
-                factor = a[r][col]
-                a[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank of a small matrix over K."""
+    return len(echelon(rows, field)[1])
 
 
 # ---------------------------------------------------------------------------
 # Module operations.
-
-
-def support_vector(x: ModuleVector) -> Idempotent:
-    return x.support()
 
 
 def mix_vectors(p: PartitionOfUnity, xs: Sequence[ModuleVector]) -> ModuleVector:
@@ -310,10 +277,8 @@ def membership(x: ModuleVector, gens: GeneratorSet, e: Idempotent) -> Membership
     m = len(gens)
     coeff_values = [[field.zero] * len(x.context) for _ in range(m)]
     for q in e.atom_indices():
-        fibers = gens.fiber_matrix(q)
         # unknowns: one coefficient per generator; equations: one per coordinate
-        columns = [[fibers[k][l] for k in range(m)] for l in range(x.ambient_dim)]
-        solution = solve_linear(columns, list(x.fiber(q)), field)
+        solution = solve_linear(gens.fiber_columns(q), list(x.fiber(q)), field)
         if solution is None:
             return MembershipResult(False, None, x.context.labels[q])
         for k in range(m):
@@ -347,14 +312,8 @@ def independence_test(gens: GeneratorSet, e: Idempotent) -> IndependenceResult:
         raise ContextMismatchError("idempotent over a different atom set")
     if e.is_zero:
         raise ZeroIdempotentError("independence is tested on a nonzero idempotent")
-    field = gens.field
-    m = len(gens)
     for q in e.atom_indices():
-        if m == 0:
-            continue
-        fibers = gens.fiber_matrix(q)
-        columns = [[fibers[k][l] for k in range(m)] for l in range(gens.ambient_dim)]
-        relation = kernel_sample(columns, field)
+        relation = kernel_sample(gens.fiber_columns(q), gens.field)
         if relation is not None:
             return IndependenceResult(False, gens.context.labels[q], tuple(relation))
     return IndependenceResult(True, None, None)
@@ -387,12 +346,7 @@ def full_support_element(gens: GeneratorSet) -> ModuleVector:
 
 
 def split_product(x: ModuleVector, p: PartitionOfUnity) -> list[ModuleVector]:
-    """Localize x to every partition piece; inverse of reassemble."""
+    """Localize x to every partition piece; mix_vectors glues them back."""
     if p.context != x.context:
         raise ContextMismatchError("partition over a different atom set")
     return [x.restrict(piece) for piece in p.pieces]
-
-
-def reassemble(p: PartitionOfUnity, parts: Sequence[ModuleVector]) -> ModuleVector:
-    """Glue localized parts back together by mixing."""
-    return mix_vectors(p, parts)

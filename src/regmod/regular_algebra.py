@@ -183,32 +183,6 @@ class StepForm:
         return acc
 
 
-def arith(op: str, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def inversion(a: AlgebraElement) -> AlgebraElement:
-    return a.inversion()
-
-
-def support(a: AlgebraElement) -> Idempotent:
-    return a.support()
-
-
-def step_form(a: AlgebraElement) -> StepForm:
-    return a.step_form()
-
-
-def restrict(a: AlgebraElement, e: Idempotent) -> AlgebraElement:
-    return a.restrict(e)
-
-
 def mix_scalars(p: PartitionOfUnity, elements: Sequence[AlgebraElement]) -> AlgebraElement:
     """The unique element agreeing with elements[i] on the i-th piece."""
     if len(elements) != len(p.pieces):

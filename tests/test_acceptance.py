@@ -33,7 +33,6 @@ from regmod import (
     oracle_passport,
     oracle_verify_iso,
     passport,
-    reassemble,
     split_product,
 )
 from regmod.randgen import (
@@ -104,6 +103,7 @@ def test_criterion_2_isomorphism_both_directions(acceptance):
             other = recombined_copy(gens, rng.spawn(), ops=10)
             assert iso_check(gens, other), f"positive pair {i}: iso_check false"
             iso = build_isomorphism(gens, other)
+            assert iso.partition == passport(gens).partition()
             assert oracle_verify_iso(iso, gens, other), (
                 f"positive pair {i}: oracle rejected the constructed map"
             )
@@ -319,7 +319,7 @@ def test_criterion_7_mixing_and_products(acceptance):
             x = random_vector(field, context, 1 + rng.below(4), rng)
             p = _identity_partition(context, rng)
             parts = split_product(x, p)
-            assert reassemble(p, parts) == x, f"product case {i}: round trip failed"
+            assert mix_vectors(p, parts) == x, f"product case {i}: round trip failed"
         return "500/500 mixings stay members; 500/500 split/reassemble round trips"
 
     run_criterion(acceptance, 7, body)

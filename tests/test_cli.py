@@ -284,3 +284,20 @@ def test_verify_catches_broken_engine(capsys, monkeypatch):
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["explode"])
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("latin1.json", FIXTURE_DOC.replace('"q1"', '"q\xe9"').encode("latin-1")),
+        ("huge_p.json", FIXTURE_DOC.replace('"p": 5', '"p": ' + "1" * 5000).encode()),
+        ("deep.json", b"[" * 100000),
+    ],
+)
+def test_unreadable_input_exits_2_without_traceback(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["passport", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -81,3 +81,45 @@ def test_field_inverse_identity_f97(a, b):
 def test_rational_render_roundtrip(q):
     f = RationalField()
     assert f.parse(f.render(q)) == q
+
+
+def test_is_prime_exact_up_to_its_bound():
+    # psi_12, the least strong pseudoprime to the twelve smallest prime bases
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValidationError):
+        PrimeField(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # psi_13 fools all thirteen bases, so it and everything above is refused
+    with pytest.raises(ValidationError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValidationError):
+        PrimeField(2**89 - 1)
+
+
+@pytest.mark.parametrize("text", [" 3", "3 ", "+2", "0_1", "٣", "", "1/1", "0x1"])
+def test_prime_field_parse_ascii_digits_only(text):
+    with pytest.raises(ValidationError):
+        PrimeField(97).parse(text)
+
+
+def test_prime_field_parse_huge_is_out_of_range():
+    with pytest.raises(ValidationError) as info:
+        PrimeField(97).parse("1" * 5000)
+    assert "out of range" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text", [" 3", "+2", "0_1", "٣", "", "-", "1/", "/2", "1/ 2", "1/+2", "--1", "1.5", "1/00"]
+)
+def test_rational_parse_grammar(text):
+    with pytest.raises(ValidationError):
+        RationalField().parse(text)
+
+
+def test_rational_parse_accepts_the_grammar():
+    f = RationalField()
+    assert f.parse("007") == Fraction(7)
+    assert f.parse("-0") == Fraction(0)
+    assert f.parse("-10/04") == Fraction(-5, 2)

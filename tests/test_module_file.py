@@ -155,3 +155,63 @@ def test_round_trip_random(seed):
     text = render_module_file(gens)
     assert parse_module_file(text) == gens
     assert render_module_file(parse_module_file(text)) == text
+
+
+def test_duplicate_top_level_key_rejected():
+    text = json.dumps(doc_fixture())[:-1] + ', "ambient_dim": 2}'
+    with pytest.raises(ParseError) as info:
+        parse_module_file(text)
+    assert "duplicate key 'ambient_dim'" in str(info.value)
+
+
+def test_duplicate_nested_key_rejected():
+    text = json.dumps(doc_fixture()).replace('"p": 5', '"p": 5, "p": 7')
+    with pytest.raises(ParseError) as info:
+        parse_module_file(text)
+    assert "duplicate key 'p'" in str(info.value)
+
+
+def test_unknown_top_level_key_rejected():
+    doc = doc_fixture()
+    doc["comment"] = "hello"
+    with pytest.raises(ParseError) as info:
+        parse_module_file(json.dumps(doc))
+    assert "unknown key 'comment'" in str(info.value)
+
+
+def test_unknown_field_key_rejected():
+    doc = doc_fixture()
+    doc["field"] = {"kind": "rational", "p": 5}
+    with pytest.raises(ParseError) as info:
+        parse_module_file(json.dumps(doc))
+    assert "unknown key 'p'" in str(info.value)
+
+
+@pytest.mark.parametrize("scalar", [" 3", "+2", "0_1", "٣"])
+def test_non_ascii_or_padded_fp_scalar_located(scalar):
+    doc = doc_fixture()
+    doc["generators"][0][1][2] = scalar
+    with pytest.raises(ValidationError) as info:
+        parse_module_file(json.dumps(doc))
+    assert "generators[0][1][2]" in str(info.value)
+
+
+@pytest.mark.parametrize("scalar", [" 3", "+2", "0_1", "٣", "1/0", "1/-2"])
+def test_bad_rational_scalar_located(scalar):
+    doc = doc_fixture()
+    doc["field"] = {"kind": "rational"}
+    doc["generators"][1][0][0] = scalar
+    with pytest.raises(ValidationError) as info:
+        parse_module_file(json.dumps(doc))
+    assert "generators[1][0][0]" in str(info.value)
+
+
+def test_huge_modulus_is_parse_error():
+    text = json.dumps(doc_fixture()).replace('"p": 5', '"p": ' + "1" * 5000)
+    with pytest.raises(ParseError):
+        parse_module_file(text)
+
+
+def test_deep_nesting_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_module_file("[" * 100000)

@@ -20,10 +20,10 @@ from regmod import (
     independence_test,
     membership,
     mix_vectors,
-    reassemble,
     split_product,
-    support_vector,
 )
+from regmod.module_space import echelon, fiber_rank, kernel_sample, solve_linear
+from regmod.oracle import _rank
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def vec(field, ctx, *rows):
 
 def test_vector_support(f5, ctx, fixture_gens):
     x = vec(f5, ctx, (0, 0, 0), (1, 0, 1))
-    assert support_vector(x) == ctx.subset(["q1", "q3"])
+    assert x.support() == ctx.subset(["q1", "q3"])
     assert ModuleVector.zeros(f5, ctx, 2).support().is_zero
     a = AlgebraElement.from_values(f5, ctx, (2, 0, 0))
     assert x.scale(a).support() == a.support().meet(x.support())
@@ -148,7 +148,7 @@ def test_split_and_reassemble(f5, ctx):
     parts = split_product(x, p)
     assert parts[0] == vec(f5, ctx, (1, 0, 0))
     assert parts[1] == vec(f5, ctx, (0, 2, 3))
-    assert reassemble(p, parts) == x
+    assert mix_vectors(p, parts) == x
     single = PartitionOfUnity((ctx.full(),))
     assert split_product(x, single) == [x]
 
@@ -192,3 +192,49 @@ def test_mix_closure_single_gen(values, assignment):
     scaled = [gens.gens[0].scale(AlgebraElement.constant(f5, ctx, k + 1)) for k in range(len(p))]
     mixed = mix_vectors(p, scaled)
     assert membership(mixed, gens, ctx.full()).contained
+
+
+def test_echelon_fixture(f5):
+    rows = [[0, 2, 4, 2], [0, 1, 2, 3], [1, 0, 0, 0]]
+    reduced, pivots = echelon(rows, f5)
+    assert pivots == [0, 1, 3]
+    assert reduced == [[1, 0, 0, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+    assert rows == [[0, 2, 4, 2], [0, 1, 2, 3], [1, 0, 0, 0]]  # input untouched
+    assert echelon([], f5) == ([], [])
+    assert echelon([[], []], f5) == ([[], []], [])
+
+
+matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
+        min_size=1, max_size=4,
+    )
+)
+
+
+@given(matrices, st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=4))
+def test_echelon_reads_rank_solution_and_kernel(rows, rhs):
+    f = PrimeField(5)
+    reduced, pivots = echelon(rows, f)
+    n = len(rows[0])
+    assert fiber_rank(rows, f) == len(pivots) == _rank(rows, f)
+    # the pivots are the greedy choice of columns independent of those before
+    columns = [[r[c] for r in rows] for c in range(n)]
+    greedy = []
+    for c in range(n):
+        if _rank([columns[k] for k in greedy] + [columns[c]], f) > len(greedy):
+            greedy.append(c)
+    assert pivots == greedy
+    assert all(v == 0 for row in reduced[len(pivots):] for v in row)
+    for r, c in enumerate(pivots):
+        assert [row[c] for row in reduced] == [int(k == r) for k in range(len(rows))]
+    b = rhs[: len(rows)]
+    x = solve_linear(rows, b, f)
+    solvable = _rank([row + [v] for row, v in zip(rows, b)], f) == len(pivots)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert [sum(a * v for a, v in zip(row, x)) % 5 for row in rows] == b
+    k = kernel_sample(rows, f)
+    assert (k is None) == (len(pivots) == n)
+    if k is not None:
+        assert any(k) and all(sum(a * v for a, v in zip(row, k)) % 5 == 0 for row in rows)
