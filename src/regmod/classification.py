@@ -5,9 +5,10 @@ pieces on which it is free of constant rank.  The decomposition is computed
 by an idempotent-splitting elimination: ordinary Gaussian elimination, except
 that a pivot entry is only invertible on its support, so the current region
 splits into the part the pivot covers (rank grows, matrix shrinks) and the
-residual part (retried with the same matrix).  The sorted, merged result —
-disjoint pieces with strictly increasing ranks covering the whole atom set —
-is a complete isomorphism invariant, here called the passport.
+residual part (retried with the matrix restricted to it).  The sorted,
+merged result — disjoint pieces with strictly increasing ranks covering the
+whole atom set — is a complete isomorphism invariant, here called the
+passport.
 """
 
 from __future__ import annotations
@@ -121,69 +122,67 @@ class EliminationTrace:
     leaves: tuple[tuple[Idempotent, int], ...]
 
 
-def _best_pivot(
-    matrix: list[list[AlgebraElement]], region: Idempotent
-) -> Optional[tuple[int, int, Idempotent]]:
-    """Entry whose support covers the most atoms of the region; row-major ties."""
-    best: Optional[tuple[int, int, Idempotent]] = None
-    best_count = 0
-    for i, row in enumerate(matrix):
-        for j, a in enumerate(row):
-            covered = a.support().meet(region)
-            if covered.count > best_count:
-                best = (i, j, covered)
-                best_count = covered.count
-    return best
-
-
 def regular_eliminate(
     gens: GeneratorSet, e: Idempotent
 ) -> tuple[list[tuple[Idempotent, int]], EliminationTrace]:
     """Split e into pieces of constant module rank.
 
-    Worklist of (region, matrix, rank) states.  A state with no entry alive
-    on its region is a leaf.  Otherwise the chosen pivot a = M[i][j] is a
-    unit on g = s(a) ∧ region: the residual region − g re-queues with the
-    same matrix, while on g every other row k is replaced by
-    row_k − (M[k][j]·i(a))·row_i and the pivot row and column are deleted,
-    with rank credited.  Each push shrinks either the matrix or the atom
-    count, so the procedure terminates; the leaves partition e and carry the
-    exact per-atom rank.
+    Worklist of (atoms, matrix, rank) states: the region's atom indices in
+    ascending order, and each matrix entry as a list of scalars over those
+    atoms only.  A state whose entries are all zero is a leaf.  Otherwise
+    the pivot a = M[i][j] is the first entry, row-major, with the most
+    nonzeros; it is a unit on its support g.  The residual region, where a
+    vanishes, re-queues with the matrix projected onto it, while on g every
+    other row k becomes row_k − (M[k][j]·a⁻¹)·row_i and the pivot row and
+    column are deleted, with rank credited.  Each push shrinks either the
+    matrix or the region, so the procedure terminates; the leaves partition
+    e and carry the exact per-atom rank.  A step costs time linear in its
+    region, not in the whole atom set, and an atom lies in a number of
+    regions bounded by the matrix size, so the total grows linearly in d.
     """
     if e.context != gens.context:
         raise ContextMismatchError("idempotent over a different atom set")
     if e.is_zero:
         raise ZeroIdempotentError("elimination needs a nonzero starting idempotent")
-    work: list[tuple[Idempotent, list[list[AlgebraElement]], int]] = [
-        (e, [list(g.coords) for g in gens.gens], 0)
-    ]
+    field, zero = gens.field, gens.field.zero
+    start = e.atom_indices()
+    work = [(start, [[[c.values[q] for q in start] for c in g.coords] for g in gens.gens], 0)]
     leaves: list[tuple[Idempotent, int]] = []
     steps: list[PivotStep] = []
     while work:
-        region, matrix, rank = work.pop()
-        pivot = _best_pivot(matrix, region)
-        if pivot is None:
+        atoms, matrix, rank = work.pop()
+        region = Idempotent(e.context, sum(1 << q for q in atoms))
+        best, best_count = None, 0
+        for i, row in enumerate(matrix):
+            for j, entry in enumerate(row):
+                count = len(entry) - entry.count(zero)
+                if count > best_count:
+                    best, best_count = (i, j), count
+        if best is None:
             leaves.append((region, rank))
             continue
-        i, j, g = pivot
-        steps.append(PivotStep(region, i, j, g))
-        residual = region - g
-        if not residual.is_zero:
-            work.append((residual, matrix, rank))
-        h = matrix[i][j].inversion()
-        pivot_row = matrix[i]
-        reduced: list[list[AlgebraElement]] = []
+        i, j = best
+        pivot, pivot_row = matrix[i][j], matrix[i]
+        cover = [t for t, v in enumerate(pivot) if v != zero]
+        covered = [atoms[t] for t in cover]
+        steps.append(PivotStep(region, i, j, Idempotent(e.context, sum(1 << q for q in covered))))
+        if len(cover) < len(atoms):
+            rest = [t for t, v in enumerate(pivot) if v == zero]
+            projected = [[[entry[t] for t in rest] for entry in row] for row in matrix]
+            work.append(([atoms[t] for t in rest], projected, rank))
+        inverse = [field.inv(pivot[t]) for t in cover]
+        reduced = []
         for k, row in enumerate(matrix):
             if k == i:
                 continue
-            factor = row[j] * h
-            reduced.append(
-                [row[c] - factor * pivot_row[c] for c in range(len(row)) if c != j]
-            )
-        work.append((g, reduced, rank + 1))
+            factor = [field.mul(row[j][t], h) for t, h in zip(cover, inverse)]
+            reduced.append([
+                [field.sub(entry[t], field.mul(a, p[t])) for t, a in zip(cover, factor)]
+                for c, (entry, p) in enumerate(zip(row, pivot_row)) if c != j
+            ])
+        work.append((covered, reduced, rank + 1))
     leaves.sort(key=lambda leaf: leaf[0].first_atom_index())
-    trace = EliminationTrace(e, tuple(steps), tuple(leaves))
-    return leaves, trace
+    return leaves, EliminationTrace(e, tuple(steps), tuple(leaves))
 
 
 def passport(gens: GeneratorSet) -> Passport:

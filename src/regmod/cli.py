@@ -22,7 +22,7 @@ from .classification import (
     passport,
 )
 from .errors import ParseError, RegmodError, ValidationError
-from .fields import Field, PrimeField, RationalField
+from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
 from .module_file import parse_module_file, render_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
 from .randgen import default_labels, random_vector
@@ -232,12 +232,16 @@ def _parse_field_arg(text: str) -> Field:
     if text == "rational":
         return RationalField()
     if text.startswith("fp:"):
+        if not _FP_SCALAR.fullmatch(text[3:]):
+            raise ValidationError(
+                f"bad field argument {_quote(text)}: modulus must be a decimal integer"
+            )
         try:
-            p = int(text[3:])
-        except ValueError:
-            raise ValidationError(f"bad field argument {text!r}: modulus must be an integer")
+            p = int(text[3:], 10)
+        except ValueError:  # more digits than int() converts: far past any usable prime
+            raise ValidationError(f"bad field argument {_quote(text)}: modulus too large") from None
         return PrimeField(p)
-    raise ValidationError(f"bad field argument {text!r}: use fp:<prime> or rational")
+    raise ValidationError(f"bad field argument {_quote(text)}: use fp:<prime> or rational")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

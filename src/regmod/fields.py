@@ -23,6 +23,14 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 _FP_SCALAR = re.compile(r"[0-9]+")
 _RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_QUOTE_LIMIT = 20
+
+
+def _quote(text: str) -> str:
+    """Offending input text for an error message: whole if short, else a prefix and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def is_prime(n: int) -> bool:
@@ -31,7 +39,7 @@ def is_prime(n: int) -> bool:
     Larger n raise ValidationError: these witnesses cannot decide them.
     """
     if n >= _MR_EXACT_BELOW:
-        raise ValidationError(f"{n} is too large for the exact primality test")
+        raise ValidationError(f"{_quote(str(n))} is too large for the exact primality test")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -95,18 +103,18 @@ class PrimeField:
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0")
+            raise ValidationError("no inverse of 0")
         return pow(a, -1, self.p)
 
     def parse(self, text: str) -> int:
         if not _FP_SCALAR.fullmatch(text):
-            raise ValidationError(f"{text!r} is not a decimal integer")
+            raise ValidationError(f"{_quote(text)} is not a decimal integer")
         try:
             v = int(text, 10)
         except ValueError:  # more digits than int() converts: far past any p
             v = self.p
         if v >= self.p:
-            raise ValidationError(f"{text!r} out of range for modulus {self.p}")
+            raise ValidationError(f"{_quote(text)} out of range for modulus {self.p}")
         return v
 
     def render(self, v: int) -> str:
@@ -149,20 +157,20 @@ class RationalField:
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
+            raise ValidationError("no inverse of 0")
         return 1 / a
 
     def parse(self, text: str) -> Fraction:
         match = _RATIONAL_SCALAR.fullmatch(text)
         if not match:
-            raise ValidationError(f"{text!r} is not a rational")
+            raise ValidationError(f"{_quote(text)} is not a rational")
         num, den = match.groups()
         if den is not None and not den.strip("0"):
-            raise ValidationError(f"{text!r}: denominator must be nonzero")
+            raise ValidationError(f"{_quote(text)}: denominator must be nonzero")
         try:
             return Fraction(int(num, 10), 1 if den is None else int(den, 10))
         except ValueError:  # more digits than int() converts
-            raise ValidationError(f"{text!r} has too many digits") from None
+            raise ValidationError(f"{_quote(text)} has too many digits") from None
 
     def render(self, v: Fraction) -> str:
         if v.denominator == 1:

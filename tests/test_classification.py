@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmod import (
+    AlgebraElement,
     AtomSet,
     ContextMismatchError,
     GeneratorSet,
@@ -32,7 +33,7 @@ from regmod import (
     piecewise_basis,
     regular_eliminate,
 )
-from regmod.randgen import random_generator_set, recombined_copy
+from regmod.randgen import default_labels, random_generator_set, random_vector, recombined_copy
 from regmod.rng import SplitMix64
 
 
@@ -80,6 +81,24 @@ def test_eliminate_standard_basis(f5, ctx):
 def test_eliminate_zero_idempotent(f5, ctx, fixture_gens):
     with pytest.raises(ZeroIdempotentError):
         regular_eliminate(fixture_gens, ctx.empty())
+
+
+def test_eliminate_builds_no_algebra_elements(f5, monkeypatch):
+    context = AtomSet(default_labels(64))
+    rng = SplitMix64(64)
+    gens = GeneratorSet(f5, context, 8, tuple(
+        random_vector(f5, context, 8, rng) for _ in range(8)))
+    built = []
+    original = AlgebraElement.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(AlgebraElement, "__post_init__", counting)
+    leaves, trace = regular_eliminate(gens, context.full())
+    assert trace.steps and len(leaves) > 1
+    assert not built
 
 
 def test_eliminate_rank_matches_classical(f5, ctx, fixture_gens):

@@ -70,6 +70,36 @@ def test_gen_rejects_bad_args(capsys):
     assert "field argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["fp: 5", "fp:+5", "fp:٥", "fp:5_0", "fp:" + "7" * 5000],
+                         ids=["space", "plus", "arabic-indic", "underscore", "5000-digits"])
+def test_gen_field_modulus_grammar(field, capsys):
+    assert main(["gen", "--seed", "1", "--atoms", "1", "--ambient", "1",
+                 "--gens", "1", "--field", field]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err) < 200
+
+
+def test_gen_field_modulus_accepts_digits(capsys):
+    assert main(["gen", "--seed", "1", "--atoms", "1", "--ambient", "1",
+                 "--gens", "1", "--field", "fp:5"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == {"kind": "fp", "p": 5}
+
+
+@pytest.mark.parametrize("field, scalar", [
+    ('{"kind": "fp", "p": 5}', "1" * 5000),
+    ('{"kind": "fp", "p": 5}', "x" * 5000),
+    ('{"kind": "rational"}', "1" * 5000),
+    ('{"kind": "rational"}', "1/" + "0" * 5000),
+], ids=["fp-digits", "fp-letters", "rational-digits", "rational-zero-denominator"])
+def test_long_scalar_error_is_short(tmp_path, capsys, field, scalar):
+    doc = FIXTURE_DOC.replace('{"kind": "fp", "p": 5}', field).replace(
+        '["0", "0", "0"]]', '["0", "%s", "0"]]' % scalar, 1)
+    assert main(["passport", write_doc(tmp_path, "long.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err) < 200
+    assert "generators[0][1][1]" in err
+
+
 def test_passport_fixture(fixture_file, capsys):
     assert main(["passport", fixture_file]) == 0
     out = capsys.readouterr().out

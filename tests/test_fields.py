@@ -40,7 +40,7 @@ def test_prime_field_ops():
     assert f.neg(2) == 3
     assert f.inv(2) == 3
     assert f.inv(4) == 4
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValidationError):
         f.inv(0)
 
 
@@ -68,6 +68,8 @@ def test_rational_parse_and_render():
         f.parse("1/-2")
     with pytest.raises(ValidationError):
         f.parse("a/b")
+    with pytest.raises(ValidationError):
+        f.inv(Fraction(0))
 
 
 @given(st.integers(min_value=0, max_value=96), st.integers(min_value=1, max_value=96))
