@@ -25,9 +25,7 @@ from .errors import ParseError, RegmodError, ValidationError
 from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
 from .module_file import parse_module_file, render_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
-from .randgen import default_labels, random_vector
 from .rng import SplitMix64
-from .verify import run_suite
 
 
 def _load(path: str) -> GeneratorSet:
@@ -134,7 +132,7 @@ def _parse_piece(context: AtomSet, text: str) -> Idempotent:
         raise ValidationError("piece needs at least one atom label")
     for label in labels:
         if label not in context.labels:
-            raise ValidationError(f"unknown atom label {label!r}")
+            raise ValidationError(f"unknown atom label {_quote(label)}")
     return context.subset(labels)
 
 
@@ -199,6 +197,7 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
     results = run_suite(args.seed, args.cases)
     all_ok = all(r.ok for r in results)
     if args.json:
@@ -245,6 +244,7 @@ def _parse_field_arg(text: str) -> Field:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .randgen import default_labels, random_vector
     if args.atoms < 1 or args.ambient < 1 or args.gens < 1:
         raise ValidationError("atoms, ambient and gens must all be at least 1")
     field = _parse_field_arg(args.field)

@@ -49,3 +49,5 @@ class ParseError(RegmodError):
 
 class ValidationError(RegmodError):
     """A module file parses but violates a structural constraint."""
+
+    index: int | None = None  # set by a row method (parse_row, check_all): first bad position

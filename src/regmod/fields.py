@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NoReturn, Sequence, Union
 
 from .errors import ValidationError
 
@@ -26,11 +26,23 @@ _RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _QUOTE_LIMIT = 20
 
 
-def _quote(text: str) -> str:
-    """Offending input text for an error message: whole if short, else a prefix and its length."""
+def _quote(value: object) -> str:
+    """Offending input for an error message: its repr if short, else a prefix and its length."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
+        return repr(value)
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def _reject_row(one: Callable, items: Sequence) -> NoReturn:
+    """Re-run a row method's per-scalar form to raise the first item's error, with its index."""
+    for k, item in enumerate(items):
+        try:
+            one(item)
+        except ValidationError as exc:
+            exc.index = k
+            raise
+    raise AssertionError("row rejected although every item passes")
 
 
 def is_prime(n: int) -> bool:
@@ -86,6 +98,12 @@ class PrimeField:
         if not isinstance(v, int) or not 0 <= v < self.p:
             raise ValidationError(f"{v!r} is not a canonical residue mod {self.p}")
 
+    def check_all(self, values: Sequence) -> None:
+        """check() on every value, as a few C-level passes over the row."""
+        ints = all(issubclass(t, int) for t in set(map(type, values)))
+        if not ints or values and not 0 <= min(values) <= max(values) < self.p:
+            _reject_row(self.check, values)
+
     def coerce(self, v) -> int:
         return int(v) % self.p
 
@@ -97,6 +115,10 @@ class PrimeField:
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
+
+    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[int]:
+        p = self.p
+        return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
 
     def neg(self, a: int) -> int:
         return -a % self.p
@@ -116,6 +138,17 @@ class PrimeField:
         if v >= self.p:
             raise ValidationError(f"{_quote(text)} out of range for modulus {self.p}")
         return v
+
+    def parse_row(self, texts: Sequence[str]) -> list[int]:
+        """[parse(t) for t in texts], as C-level passes that accept exactly ASCII [0-9]+ below p."""
+        if all(map(str.isdigit, texts)) and "".join(texts).isascii():
+            try:
+                values = list(map(int, texts))
+                if max(values, default=0) < self.p:
+                    return values
+            except ValueError:  # more digits than int() converts: far past any p
+                pass
+        _reject_row(self.parse, texts)
 
     def render(self, v: int) -> str:
         return str(v)
@@ -140,6 +173,11 @@ class RationalField:
         if not isinstance(v, Fraction):
             raise ValidationError(f"{v!r} is not a Fraction")
 
+    def check_all(self, values: Sequence) -> None:
+        """check() on every value, as one C-level pass over the row."""
+        if not all(issubclass(t, Fraction) for t in set(map(type, values))):
+            _reject_row(self.check, values)
+
     def coerce(self, v) -> Fraction:
         return Fraction(v)
 
@@ -151,6 +189,9 @@ class RationalField:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
+
+    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[Fraction]:
+        return [x - f * y for x, f, y in zip(xs, fs, ys)]
 
     def neg(self, a: Fraction) -> Fraction:
         return -a
@@ -171,6 +212,13 @@ class RationalField:
             return Fraction(int(num, 10), 1 if den is None else int(den, 10))
         except ValueError:  # more digits than int() converts
             raise ValidationError(f"{_quote(text)} has too many digits") from None
+
+    def parse_row(self, texts: Sequence[str]) -> list[Fraction]:
+        """[parse(t) for t in texts]; a failure carries the first bad index."""
+        try:
+            return [self.parse(t) for t in texts]
+        except ValidationError:
+            _reject_row(self.parse, texts)
 
     def render(self, v: Fraction) -> str:
         if v.denominator == 1:

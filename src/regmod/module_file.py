@@ -17,15 +17,16 @@ import json
 
 from .boolean_core import AtomSet
 from .errors import ParseError, ValidationError
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, PrimeField, RationalField, _quote
 from .module_space import GeneratorSet, ModuleVector
+from .regular_algebra import AlgebraElement
 
 
 def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise ParseError(f"duplicate key {key!r}")
+            raise ParseError(f"duplicate key {_quote(key)}")
         obj[key] = value
     return obj
 
@@ -33,10 +34,10 @@ def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 def _require_keys(obj: dict, where: str, keys: tuple[str, ...]) -> None:
     for key in keys:
         if key not in obj:
-            raise ParseError(f"missing key {key!r}{where}")
+            raise ParseError(f"missing key {_quote(key)}{where}")
     for key in obj:
         if key not in keys:
-            raise ParseError(f"unknown key {key!r}{where}")
+            raise ParseError(f"unknown key {_quote(key)}{where}")
 
 
 def _field_from_payload(payload: object) -> Field:
@@ -52,7 +53,7 @@ def _field_from_payload(payload: object) -> Field:
     if kind == "rational":
         _require_keys(payload, " in 'field'", ("kind",))
         return RationalField()
-    raise ValidationError(f"field.kind must be 'fp' or 'rational', got {kind!r}")
+    raise ValidationError(f"field.kind must be 'fp' or 'rational', got {_quote(kind)}")
 
 
 def parse_module_file(text: str) -> GeneratorSet:
@@ -93,22 +94,20 @@ def parse_module_file(text: str) -> GeneratorSet:
             raise ValidationError(
                 f"generators[{i}] has {len(grid)} coordinate rows, expected {ambient}"
             )
-        rows = []
+        coords = []
         for j, row in enumerate(grid):
-            if not isinstance(row, list) or not all(isinstance(s, str) for s in row):
+            if not isinstance(row, list) or not set(map(type, row)) <= {str}:
                 raise ParseError(f"generators[{i}][{j}] must be a list of scalar strings")
             if len(row) != len(atoms):
                 raise ValidationError(
                     f"generators[{i}][{j}] has {len(row)} values, expected {len(atoms)}"
                 )
-            parsed = []
-            for k, scalar in enumerate(row):
-                try:
-                    parsed.append(field.parse(scalar))
-                except (ParseError, ValidationError) as exc:
-                    raise ValidationError(f"generators[{i}][{j}][{k}]: {exc}") from exc
-            rows.append(parsed)
-        vectors.append(ModuleVector.from_grid(field, context, rows))
+            try:
+                values = field.parse_row(row)
+            except ValidationError as exc:
+                raise ValidationError(f"generators[{i}][{j}][{exc.index}]: {exc}") from exc
+            coords.append(AlgebraElement(field, context, tuple(values)))
+        vectors.append(ModuleVector(tuple(coords)))
     return GeneratorSet(field, context, ambient, tuple(vectors))
 
 

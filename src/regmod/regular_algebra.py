@@ -31,8 +31,7 @@ class AlgebraElement:
             raise LengthMismatchError(
                 f"{len(self.values)} values for {len(self.context)} atoms"
             )
-        for v in self.values:
-            self.field.check(v)
+        self.field.check_all(self.values)
 
     @classmethod
     def zeros(cls, field: Field, context: AtomSet) -> "AlgebraElement":

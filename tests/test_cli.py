@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import regmod
 import regmod.classification
 from regmod import parse_module_file, render_module_file
 from regmod.cli import main
@@ -331,3 +337,102 @@ def test_unreadable_input_exits_2_without_traceback(tmp_path, capsys, name, data
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+LONG = "k" * 5000
+
+
+@pytest.mark.parametrize("doc", [
+    FIXTURE_DOC.replace('"atoms"', '"%s": 1, "atoms"' % LONG),
+    FIXTURE_DOC.replace('"p": 5', '"p": 5, "%s": 1' % LONG),
+    FIXTURE_DOC.replace('"field"', '"%s": 1, "%s": 2, "field"' % (LONG, LONG)),
+    FIXTURE_DOC.replace('"kind": "fp"', '"kind": "%s"' % LONG),
+    FIXTURE_DOC.replace('"kind": "fp"', '"kind": [%s]' % ", ".join(["1"] * 5000)),
+], ids=["unknown-key", "unknown-field-key", "duplicate-key", "field-kind", "field-kind-list"])
+def test_long_key_or_kind_error_is_short(tmp_path, capsys, doc):
+    assert main(["passport", write_doc(tmp_path, "long.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err) < 200
+
+
+def test_long_piece_label_error_is_short(fixture_file, capsys):
+    assert main(["basis", fixture_file, "--piece", "q1," + LONG]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown atom label") and len(err) < 200
+
+
+def test_cli_import_leaves_verify_and_randgen_unloaded():
+    code = "import sys, regmod.cli; print(sorted({'regmod.verify', 'regmod.randgen'} & set(sys.modules)))"
+    src = str(Path(regmod.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: a mutated module file gives 0, 1 or 2, never an escape
+
+TRICKY_SCALARS = ["٥", "+5", " 5", "5_0", "", "0005", "-0", "1/0", "1" * 5000, "x", "5"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+def _mutated_text(data, doc) -> str:
+    mutation = data.draw(st.sampled_from(["drop", "duplicate", "rename", "scalar", "retype", "truncate"]))
+    where = data.draw(st.sampled_from(["top", "field"]))
+    obj = doc if where == "top" else doc["field"]
+    key = data.draw(st.sampled_from(sorted(obj)))
+    if mutation == "drop":
+        del obj[key]
+    elif mutation == "rename":
+        obj[data.draw(st.text(max_size=6))] = obj.pop(key)
+    elif mutation == "duplicate":
+        text = json.dumps(doc)
+        anchor = text.index("{", 1) + 1 if where == "field" else 1
+        pair = f"{json.dumps(key)}: {json.dumps(obj[key])}, "
+        return text[:anchor] + pair + text[anchor:]
+    elif mutation == "scalar":
+        rows = [(i, j) for i, grid in enumerate(doc["generators"]) for j in range(len(grid))]
+        i, j = data.draw(st.sampled_from(rows))
+        k = data.draw(st.integers(0, len(doc["atoms"]) - 1))
+        doc["generators"][i][j][k] = data.draw(st.sampled_from(TRICKY_SCALARS) | st.text(max_size=6))
+    elif mutation == "retype":
+        path = data.draw(st.sampled_from(list(_nodes(doc))))
+        doc = _replace(doc, path, data.draw(JSON_VALUES))
+    else:
+        text = json.dumps(doc)
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_module_file_keeps_exit_code_contract(tmp_path, capsys, data):
+    field = data.draw(st.sampled_from(["fp:5", "fp:2305843009213693951", "rational"]))
+    assert main(["gen", "--seed", "7", "--atoms", "4", "--ambient", "2",
+                 "--gens", "2", "--field", field]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    path = write_doc(tmp_path, "mutant.json", _mutated_text(data, doc))
+    code = main(["passport", path, "--json"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error:")

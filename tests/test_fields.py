@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmod import PrimeField, RationalField, ValidationError, is_prime
@@ -125,3 +125,89 @@ def test_rational_parse_accepts_the_grammar():
     assert f.parse("007") == Fraction(7)
     assert f.parse("-0") == Fraction(0)
     assert f.parse("-10/04") == Fraction(-5, 2)
+
+
+ROW_FIELDS = [PrimeField(5), PrimeField(2**61 - 1), RationalField()]
+ROW_IDS = ["f5", "f_2^61-1", "rational"]
+TRICKY_TEXTS = ["٥", "+5", " 5", "5_0", "", "0005", "1" * 5000, "1/0", "-0"]
+
+
+def _per_item(one, items):
+    """The per-scalar loop a row method must agree with: (results, first bad index, message)."""
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(one(item))
+        except ValidationError as exc:
+            return None, k, str(exc)
+    return out, None, None
+
+
+def _assert_rejected_alike(row_method, items, index, message):
+    with pytest.raises(ValidationError) as info:
+        row_method(items)
+    assert (info.value.index, str(info.value)) == (index, message)
+
+
+def _texts(field):
+    if isinstance(field, PrimeField):
+        valid = st.integers(0, field.p - 1).map(str)
+        tricky = st.sampled_from(TRICKY_TEXTS + [str(field.p)])
+    else:
+        valid = st.fractions().map(field.render)
+        tricky = st.sampled_from(TRICKY_TEXTS)
+    return st.lists(st.one_of(valid, valid, tricky), max_size=12)
+
+
+def _values(field):
+    if isinstance(field, PrimeField):
+        valid = st.integers(0, field.p - 1)
+        odd = st.one_of(st.integers(min_value=field.p), st.fractions())
+    else:
+        valid = st.fractions()
+        odd = st.integers()
+    odd = st.one_of(odd, st.booleans(), st.floats(), st.integers(max_value=-1))
+    return st.lists(st.one_of(valid, valid, odd), max_size=12)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_row_equals_per_scalar_parse(field, data):
+    row = data.draw(_texts(field))
+    expected, index, message = _per_item(field.parse, row)
+    if expected is None:
+        _assert_rejected_alike(field.parse_row, row, index, message)
+    else:
+        got = field.parse_row(row)
+        assert got == expected and list(map(type, got)) == list(map(type, expected))
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_all_equals_per_value_check(field, data):
+    values = tuple(data.draw(_values(field)))
+    passed, index, message = _per_item(field.check, values)
+    if passed is None:
+        _assert_rejected_alike(field.check_all, values, index, message)
+    else:
+        field.check_all(values)
+
+
+def test_check_all_accepts_bool_like_check():
+    PrimeField(5).check_all((True, False, 4))
+    with pytest.raises(ValidationError) as info:
+        PrimeField(2).check_all((1, 0, 2, 3))
+    assert info.value.index == 2 and str(info.value) == "2 is not a canonical residue mod 2"
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sub_mul_is_pointwise(field, data):
+    values = st.integers(0, field.p - 1) if isinstance(field, PrimeField) else st.fractions()
+    xs, fs, ys = (data.draw(st.lists(values, min_size=5, max_size=5)) for _ in range(3))
+    assert field.sub_mul(xs, fs, ys) == [
+        field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)
+    ]

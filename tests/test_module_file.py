@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmod import (
+    AtomSet,
+    GeneratorSet,
     ParseError,
     PrimeField,
     RationalField,
@@ -14,7 +16,7 @@ from regmod import (
     parse_module_file,
     render_module_file,
 )
-from regmod.randgen import random_generator_set
+from regmod.randgen import default_labels, random_generator_set, random_vector
 from regmod.rng import SplitMix64
 
 
@@ -215,3 +217,33 @@ def test_huge_modulus_is_parse_error():
 def test_deep_nesting_is_parse_error():
     with pytest.raises(ParseError):
         parse_module_file("[" * 100000)
+
+
+def test_valid_fp_file_parses_without_per_scalar_calls(f5, monkeypatch):
+    context = AtomSet(default_labels(64))
+    rng = SplitMix64(64)
+    text = render_module_file(GeneratorSet(f5, context, 8, tuple(
+        random_vector(f5, context, 8, rng) for _ in range(8))))
+    grids = [[[int(s) for s in row] for row in grid] for grid in json.loads(text)["generators"]]
+    expected = GeneratorSet.from_grids(f5, context, 8, grids)
+    calls = {"parse": 0, "check": 0}
+    for name in calls:
+        original = getattr(PrimeField, name)
+
+        def counting(self, value, name=name, original=original):
+            calls[name] += 1
+            return original(self, value)
+
+        monkeypatch.setattr(PrimeField, name, counting)
+    assert parse_module_file(text) == expected
+    assert calls == {"parse": 0, "check": 0}
+
+
+def test_bad_scalar_after_valid_rows_located_by_fallback():
+    doc = doc_fixture()
+    doc["field"] = {"kind": "fp", "p": 2**61 - 1}
+    doc["generators"][1][1] = ["1", str(2**61 - 1), "x" * 5000]
+    with pytest.raises(ValidationError) as info:
+        parse_module_file(json.dumps(doc))
+    assert str(info.value).startswith("generators[1][1][1]: ")
+    assert "out of range for modulus" in str(info.value)
