@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NoReturn, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ValidationError
 
@@ -34,15 +34,28 @@ def _quote(value: object) -> str:
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
-def _reject_row(one: Callable, items: Sequence) -> NoReturn:
-    """Re-run a row method's per-scalar form to raise the first item's error, with its index."""
+def _each(one: Callable, items: Sequence) -> list:
+    """[one(item) for item in items]; the first failure is re-raised with its index."""
+    out = []
     for k, item in enumerate(items):
         try:
-            one(item)
+            out.append(one(item))
         except ValidationError as exc:
             exc.index = k
             raise
-    raise AssertionError("row rejected although every item passes")
+    return out
+
+
+def _check_by(check: Callable, deciders: Iterable, values: Sequence) -> None:
+    """check() on every value, given values of the row whose verdicts decide all the others.
+
+    Only when a decider fails does the row rerun, to raise at its first bad value.
+    """
+    try:
+        for v in deciders:
+            check(v)
+    except ValidationError:
+        _each(check, values)
 
 
 def is_prime(n: int) -> bool:
@@ -99,10 +112,9 @@ class PrimeField:
             raise ValidationError(f"{v!r} is not a canonical residue mod {self.p}")
 
     def check_all(self, values: Sequence) -> None:
-        """check() on every value, as a few C-level passes over the row."""
+        """check() on every value; in an all-int row the least and greatest decide the rest."""
         ints = all(issubclass(t, int) for t in set(map(type, values)))
-        if not ints or values and not 0 <= min(values) <= max(values) < self.p:
-            _reject_row(self.check, values)
+        _check_by(self.check, (min(values), max(values)) if ints and values else values, values)
 
     def coerce(self, v) -> int:
         return int(v) % self.p
@@ -148,7 +160,7 @@ class PrimeField:
                     return values
             except ValueError:  # more digits than int() converts: far past any p
                 pass
-        _reject_row(self.parse, texts)
+        return _each(self.parse, texts)
 
     def render(self, v: int) -> str:
         return str(v)
@@ -174,9 +186,8 @@ class RationalField:
             raise ValidationError(f"{v!r} is not a Fraction")
 
     def check_all(self, values: Sequence) -> None:
-        """check() on every value, as one C-level pass over the row."""
-        if not all(issubclass(t, Fraction) for t in set(map(type, values))):
-            _reject_row(self.check, values)
+        """check() on every value; the verdict depends on type only: one value per type decides."""
+        _check_by(self.check, dict(zip(map(type, values), values)).values(), values)
 
     def coerce(self, v) -> Fraction:
         return Fraction(v)
@@ -215,10 +226,7 @@ class RationalField:
 
     def parse_row(self, texts: Sequence[str]) -> list[Fraction]:
         """[parse(t) for t in texts]; a failure carries the first bad index."""
-        try:
-            return [self.parse(t) for t in texts]
-        except ValidationError:
-            _reject_row(self.parse, texts)
+        return _each(self.parse, texts)
 
     def render(self, v: Fraction) -> str:
         if v.denominator == 1:

@@ -236,7 +236,8 @@ def test_valid_fp_file_parses_without_per_scalar_calls(f5, monkeypatch):
 
         monkeypatch.setattr(PrimeField, name, counting)
     assert parse_module_file(text) == expected
-    assert calls == {"parse": 0, "check": 0}
+    # two check() calls per coordinate row (its least and greatest value), none per scalar
+    assert calls == {"parse": 0, "check": 2 * 8 * 8}
 
 
 def test_bad_scalar_after_valid_rows_located_by_fallback():
