@@ -129,15 +129,15 @@ def regular_eliminate(
 
     Worklist of (atoms, matrix, rank) states: the region's atom indices in
     ascending order, and each matrix entry as a list of scalars over those
-    atoms only.  A state whose entries are all zero is a leaf.  Otherwise the
-    pivot a = M[i][j] is the first entry, row-major, with the most nonzeros;
-    it is a unit on its support g.  The residual region, where a vanishes,
-    re-queues with the matrix projected onto it.  On g, row k ≠ i of the
-    gathered matrix becomes row_k − (M[k][j]·a⁻¹)·row_i by one field.sub_mul
-    per entry, column j goes and rank is credited.  Each push shrinks either
-    the matrix or the region, so the procedure terminates; the leaves
-    partition e and carry the exact per-atom rank.  A step costs time linear
-    in its region, not in the whole atom set, and an atom lies in a number of
+    atoms only.  A state whose entries are all zero is a leaf.  Otherwise
+    the pivot a = M[i][j] is the first entry, row-major, with the most
+    nonzeros; it is a unit on its support g.  The residual region, where a
+    vanishes, re-queues with the matrix projected onto it, while on g every
+    other row k becomes row_k − (M[k][j]·a⁻¹)·row_i and the pivot row and
+    column are deleted, with rank credited.  Each push shrinks either the
+    matrix or the region, so the procedure terminates; the leaves partition
+    e and carry the exact per-atom rank.  A step costs time linear in its
+    region, not in the whole atom set, and an atom lies in a number of
     regions bounded by the matrix size, so the total grows linearly in d.
     """
     if e.context != gens.context:
@@ -162,7 +162,7 @@ def regular_eliminate(
             leaves.append((region, rank))
             continue
         i, j = best
-        pivot = matrix[i][j]
+        pivot, pivot_row = matrix[i][j], matrix[i]
         cover = [t for t, v in enumerate(pivot) if v != zero]
         covered = [atoms[t] for t in cover]
         steps.append(PivotStep(region, i, j, Idempotent(e.context, sum(1 << q for q in covered))))
@@ -170,16 +170,15 @@ def regular_eliminate(
             rest = [t for t, v in enumerate(pivot) if v == zero]
             projected = [[[entry[t] for t in rest] for entry in row] for row in matrix]
             work.append(([atoms[t] for t in rest], projected, rank))
-            matrix = [[[entry[t] for t in cover] for entry in row] for row in matrix]
-        inverse = [field.inv(v) for v in matrix[i][j]]
+        inverse = [field.inv(pivot[t]) for t in cover]
         reduced = []
         for k, row in enumerate(matrix):
             if k == i:
                 continue
-            factor = [field.mul(a, h) for a, h in zip(row[j], inverse)]
+            factor = [field.mul(row[j][t], h) for t, h in zip(cover, inverse)]
             reduced.append([
-                field.sub_mul(entry, factor, p)
-                for c, (entry, p) in enumerate(zip(row, matrix[i])) if c != j
+                [field.sub(entry[t], field.mul(a, p[t])) for t, a in zip(cover, factor)]
+                for c, (entry, p) in enumerate(zip(row, pivot_row)) if c != j
             ])
         work.append((covered, reduced, rank + 1))
     leaves.sort(key=lambda leaf: leaf[0].first_atom_index())

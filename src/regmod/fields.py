@@ -47,10 +47,7 @@ def _each(one: Callable, items: Sequence) -> list:
 
 
 def _check_by(check: Callable, deciders: Iterable, values: Sequence) -> None:
-    """check() on every value, given values of the row whose verdicts decide all the others.
-
-    Only when a decider fails does the row rerun, to raise at its first bad value.
-    """
+    """check() on every value: run on the `deciders` only, or, if one fails, on each in turn."""
     try:
         for v in deciders:
             check(v)
@@ -128,10 +125,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[int]:
-        p = self.p
-        return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
-
     def neg(self, a: int) -> int:
         return -a % self.p
 
@@ -200,9 +193,6 @@ class RationalField:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
-
-    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[Fraction]:
-        return [x - f * y for x, f, y in zip(xs, fs, ys)]
 
     def neg(self, a: Fraction) -> Fraction:
         return -a

@@ -200,14 +200,3 @@ def test_check_all_accepts_bool_like_check():
     with pytest.raises(ValidationError) as info:
         PrimeField(2).check_all((1, 0, 2, 3))
     assert info.value.index == 2 and str(info.value) == "2 is not a canonical residue mod 2"
-
-
-@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_sub_mul_is_pointwise(field, data):
-    values = st.integers(0, field.p - 1) if isinstance(field, PrimeField) else st.fractions()
-    xs, fs, ys = (data.draw(st.lists(values, min_size=5, max_size=5)) for _ in range(3))
-    assert field.sub_mul(xs, fs, ys) == [
-        field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)
-    ]
