@@ -276,6 +276,24 @@ def test_isomorphism_linearity(f5, ctx, fixture_gens):
         assert membership(image, other, ctx.full()).contained
 
 
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=["F5", "Q"])
+def test_iso_map_defining_properties(field):
+    """gen_coords rebuild each generator on its piece; images are apply() of the generators."""
+    from regmod import combine
+
+    for seed in range(12):
+        rng = SplitMix64(seed)
+        gens = random_generator_set(rng, field, max_atoms=8, max_gens=4, max_ambient=3)
+        iso = build_isomorphism(gens, recombined_copy(gens, rng, ops=4))
+        for pc in iso.pieces:
+            for k, coords in enumerate(pc.gen_coords):
+                assert all(a.support().leq(pc.piece) for a in coords)
+                if pc.rank:
+                    assert combine(pc.source_basis, coords) == gens.gens[k].restrict(pc.piece)
+        for k, g in enumerate(gens.gens):
+            assert iso.generator_images[k] == iso.apply(g)
+
+
 def test_report_fixture(f5, ctx, fixture_gens):
     rep = finitely_dimensional_report(fixture_gens)
     assert rep.decomposition == "A_{q2}^1 × A_{q1,q3}^2"

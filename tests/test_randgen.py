@@ -110,3 +110,23 @@ def test_constant_rank_instance_is_constant(seed):
     gens, rank = constant_rank_instance(SplitMix64(seed), max_atoms=5)
     profile = atom_rank_profile(gens)
     assert set(profile.ranks.values()) == {rank}
+
+
+def test_randgen_outputs_golden():
+    """Byte-for-byte pin of the generators' output, seeds 0-199."""
+    from hashlib import sha256
+
+    from regmod.module_file import render_module_file
+
+    h = sha256()
+    branches = set()
+    for seed in range(200):
+        rng = SplitMix64(seed)
+        gens, rank = constant_rank_instance(rng)
+        h.update(f"{rank}\n{render_module_file(gens)}".encode())
+        for source in (gens, random_generator_set(rng, max_atoms=6, max_gens=3, max_ambient=3)):
+            other = perturb_rank_profile(source, rng)
+            branches.add(len(other) > len(source))
+            h.update(render_module_file(other).encode())
+    assert branches == {True, False}  # both the appending and the zeroing branch ran
+    assert h.hexdigest() == "e39fadac44600cc9da1e2d894f07482724921da4db2d4da570fa0eea5fc56bb2"
