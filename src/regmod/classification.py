@@ -29,11 +29,12 @@ from .fields import Field
 from .module_space import (
     GeneratorSet,
     ModuleVector,
+    combine,
     echelon,
     fiber_rank,
     membership,
 )
-from .regular_algebra import AlgebraElement
+from .regular_algebra import AlgebraElement, from_fibers
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,10 @@ class Passport:
     def __post_init__(self):
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValidationError("a passport has at least one entry")
-        context = self.entries[0].piece.context
-        seen = 0
-        prev_rank = -1
-        for entry in self.entries:
-            if entry.piece.context != context:
-                raise ContextMismatchError("passport pieces over different atom sets")
-            if entry.rank <= prev_rank:
-                raise ValidationError("passport ranks must be strictly increasing")
-            if seen & entry.piece.mask:
-                raise ValidationError("passport pieces must be disjoint")
-            seen |= entry.piece.mask
-            prev_rank = entry.rank
-        if seen != context.full_mask:
-            raise ValidationError("passport pieces must cover the whole atom set")
+        ranks = [entry.rank for entry in self.entries]
+        if any(a >= b for a, b in zip(ranks, ranks[1:])):
+            raise ValidationError("passport ranks must be strictly increasing")
+        self.partition()  # one atom set, nonempty, disjoint pieces covering it
 
     @property
     def context(self) -> AtomSet:
@@ -233,16 +222,13 @@ def _selected_basis(
     gens: GeneratorSet, selection: dict[int, Sequence[int]], rank: int
 ) -> list[ModuleVector]:
     """Slot i takes, at every atom q, the fiber of generator selection[q][i]."""
-    d, n = len(gens.context), gens.ambient_dim
-    basis: list[ModuleVector] = []
-    for slot in range(rank):
-        grid = [[gens.field.zero] * d for _ in range(n)]
-        for q, chosen in selection.items():
-            source = gens.gens[chosen[slot]]
-            for c in range(n):
-                grid[c][q] = source.coords[c].values[q]
-        basis.append(ModuleVector.from_grid(gens.field, gens.context, grid))
-    return basis
+    return [
+        ModuleVector(from_fibers(
+            gens.field, gens.context, gens.ambient_dim,
+            {q: gens.gens[chosen[slot]].fiber(q) for q, chosen in selection.items()},
+        ))
+        for slot in range(rank)
+    ]
 
 
 def extract_basis(
@@ -320,6 +306,16 @@ class IsoPiece:
     gen_coords: tuple[tuple[AlgebraElement, ...], ...]
 
 
+def _target_combination(
+    field: Field, context: AtomSet, dim: int, pieces: Sequence[IsoPiece], coefficients: Sequence
+) -> ModuleVector:
+    """Sum over pieces of the target basis combined with that piece's coefficients."""
+    basis = [v for pc in pieces for v in pc.target_basis]
+    if not basis:
+        return ModuleVector.zeros(field, context, dim)
+    return combine(basis, [a for piece_coefficients in coefficients for a in piece_coefficients])
+
+
 @dataclass(frozen=True)
 class IsoMap:
     """A piecewise module isomorphism: basis-to-basis on every passport piece."""
@@ -338,14 +334,8 @@ class IsoMap:
             raise ContextMismatchError("vector over a different algebra")
         if x.ambient_dim != self.source_ambient_dim:
             raise ContextMismatchError("vector in a different ambient space")
-        total = ModuleVector.zeros(self.field, self.context, self.target_ambient_dim)
-        for pc in self.pieces:
-            if pc.rank == 0:
-                if not x.restrict(pc.piece).is_zero:
-                    raise NotInModuleError(
-                        f"nonzero on rank-0 piece {pc.piece.render()}"
-                    )
-                continue
+        coefficients = []
+        for pc in self.pieces:  # on a rank-0 piece only zero is a member
             local = GeneratorSet(
                 self.field, self.context, self.source_ambient_dim, pc.source_basis
             )
@@ -355,9 +345,10 @@ class IsoMap:
                     f"not in the source module at atom {result.witness_atom}"
                 )
             assert result.coefficients is not None
-            for slot in range(pc.rank):
-                total = total + pc.target_basis[slot].scale(result.coefficients[slot])
-        return total
+            coefficients.append(result.coefficients)
+        return _target_combination(
+            self.field, self.context, self.target_ambient_dim, self.pieces, coefficients
+        )
 
     def render(self) -> str:
         lines = []
@@ -395,12 +386,8 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
     for rank in sorted(set(ranks)):
         atoms = [q for q in range(d) if ranks[q] == rank]
         coords = tuple(
-            tuple(
-                AlgebraElement(field, context, tuple(
-                    source[q][0][slot][k] if ranks[q] == rank else field.zero
-                    for q in range(d)
-                ))
-                for slot in range(rank)
+            from_fibers(
+                field, context, rank, {q: [row[k] for row in source[q][0][:rank]] for q in atoms}
             )
             for k in range(len(gens))
         )
@@ -413,13 +400,12 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
                 coords,
             )
         )
-    images = []
-    for k in range(len(gens.gens)):
-        image = ModuleVector.zeros(field, context, other.ambient_dim)
-        for pc in pieces:
-            for slot in range(pc.rank):
-                image = image + pc.target_basis[slot].scale(pc.gen_coords[k][slot])
-        images.append(image)
+    images = tuple(
+        _target_combination(
+            field, context, other.ambient_dim, pieces, [pc.gen_coords[k] for pc in pieces]
+        )
+        for k in range(len(gens))
+    )
     return IsoMap(
         field,
         context,
@@ -427,7 +413,7 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
         other.ambient_dim,
         PartitionOfUnity(tuple(pc.piece for pc in pieces)),
         tuple(pieces),
-        tuple(images),
+        images,
     )
 
 

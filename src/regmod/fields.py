@@ -114,7 +114,12 @@ class PrimeField:
         _check_by(self.check, (min(values), max(values)) if ints and values else values, values)
 
     def coerce(self, v) -> int:
-        return int(v) % self.p
+        """An int reduced mod p, or a Fraction whose denominator p does not divide."""
+        if isinstance(v, int):
+            return v % self.p
+        if isinstance(v, Fraction) and v.denominator % self.p:
+            return v.numerator * pow(v.denominator, -1, self.p) % self.p
+        raise ValidationError(f"{_quote(v)} has no exact value mod {self.p}")
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -183,7 +188,10 @@ class RationalField:
         _check_by(self.check, dict(zip(map(type, values), values)).values(), values)
 
     def coerce(self, v) -> Fraction:
-        return Fraction(v)
+        """An int or a Fraction; inexact values such as floats are refused."""
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
+        raise ValidationError(f"{_quote(v)} is not an int or a Fraction")
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b

@@ -20,7 +20,7 @@ from .errors import (
     ZeroIdempotentError,
 )
 from .fields import Field, Scalar
-from .regular_algebra import AlgebraElement, mix_scalars
+from .regular_algebra import AlgebraElement, from_fibers
 
 
 @dataclass(frozen=True)
@@ -233,10 +233,10 @@ def mix_vectors(p: PartitionOfUnity, xs: Sequence[ModuleVector]) -> ModuleVector
     first = xs[0]
     for x in xs:
         first._require_same_space(x)
-    coords = tuple(
-        mix_scalars(p, [x.coords[c] for x in xs]) for c in range(first.ambient_dim)
-    )
-    return ModuleVector(coords)
+    if p.context != first.context:
+        raise ContextMismatchError("partition over a different atom set")
+    fibers = {q: x.fiber(q) for piece, x in zip(p.pieces, xs) for q in piece.atom_indices()}
+    return ModuleVector(from_fibers(first.field, first.context, first.ambient_dim, fibers))
 
 
 def combine(gens: Sequence[ModuleVector], coefficients: Sequence[AlgebraElement]) -> ModuleVector:
@@ -273,20 +273,13 @@ def membership(x: ModuleVector, gens: GeneratorSet, e: Idempotent) -> Membership
         raise ContextMismatchError("vector and presentation in different spaces")
     if e.context != x.context:
         raise ContextMismatchError("idempotent over a different atom set")
-    field = x.field
-    m = len(gens)
-    coeff_values = [[field.zero] * len(x.context) for _ in range(m)]
+    solutions = {}
     for q in e.atom_indices():
         # unknowns: one coefficient per generator; equations: one per coordinate
-        solution = solve_linear(gens.fiber_columns(q), list(x.fiber(q)), field)
-        if solution is None:
+        solutions[q] = solve_linear(gens.fiber_columns(q), list(x.fiber(q)), x.field)
+        if solutions[q] is None:
             return MembershipResult(False, None, x.context.labels[q])
-        for k in range(m):
-            coeff_values[k][q] = solution[k]
-    coefficients = tuple(
-        AlgebraElement(field, x.context, tuple(row)) for row in coeff_values
-    )
-    return MembershipResult(True, coefficients, None)
+    return MembershipResult(True, from_fibers(x.field, x.context, len(gens), solutions), None)
 
 
 @dataclass(frozen=True)
@@ -322,10 +315,10 @@ def independence_test(gens: GeneratorSet, e: Idempotent) -> IndependenceResult:
 def full_support_element(gens: GeneratorSet) -> ModuleVector:
     """A member of the module whose support is the whole atom set.
 
-    Each atom is assigned to the first generator that is nonzero there; the
-    resulting blocks partition the atom set and mixing the chosen generators
-    over them yields a full-support element.  Atoms where every generator
-    vanishes make the presentation unfaithful and are reported as a failure.
+    Each atom is assigned to the first generator that is nonzero there, and
+    the element takes that generator's fiber at the atom: a mixing of the
+    generators, nonzero at every atom.  Atoms where every generator vanishes
+    make the presentation unfaithful and are reported as a failure.
     """
     context = gens.context
     choice: list[Optional[int]] = [None] * len(context)
@@ -336,13 +329,8 @@ def full_support_element(gens: GeneratorSet) -> ModuleVector:
     dead = tuple(context.labels[q] for q in range(len(context)) if choice[q] is None)
     if dead:
         raise NotFaithfulError(dead)
-    used = sorted({k for k in choice if k is not None})
-    pieces = tuple(
-        Idempotent(context, sum(1 << q for q in range(len(context)) if choice[q] == k))
-        for k in used
-    )
-    partition = PartitionOfUnity(pieces)
-    return mix_vectors(partition, [gens.gens[k] for k in used])
+    fibers = {q: gens.gens[k].fiber(q) for q, k in enumerate(choice)}
+    return ModuleVector(from_fibers(gens.field, context, gens.ambient_dim, fibers))
 
 
 def split_product(x: ModuleVector, p: PartitionOfUnity) -> list[ModuleVector]:

@@ -13,8 +13,8 @@ from typing import Optional
 
 from .boolean_core import AtomSet
 from .fields import Field, PrimeField, RationalField, Scalar
-from .module_space import GeneratorSet, ModuleVector, fiber_rank
-from .regular_algebra import AlgebraElement
+from .module_space import GeneratorSet, ModuleVector, combine, fiber_rank
+from .regular_algebra import AlgebraElement, from_fibers
 from .rng import SplitMix64
 
 ACCEPTANCE_FIELDS: tuple[Field, ...] = (
@@ -54,13 +54,13 @@ def random_element(
         field.zero if rng.below(zero_bias) == 0 else random_scalar(field, rng)
         for _ in range(len(context))
     ]
-    return AlgebraElement.from_values(field, context, values)
+    return AlgebraElement(field, context, values)
 
 
 def random_unit(field: Field, context: AtomSet, rng: SplitMix64) -> AlgebraElement:
     """Full-support element: invertible, usable for generator rescaling."""
     values = [random_nonzero_scalar(field, rng) for _ in range(len(context))]
-    return AlgebraElement.from_values(field, context, values)
+    return AlgebraElement(field, context, values)
 
 
 def random_vector(
@@ -99,7 +99,9 @@ def random_generator_set(
             for grid in grids:
                 for row in grid:
                     row[q] = field.zero
-    gens = tuple(ModuleVector.from_grid(field, context, grid) for grid in grids)
+    gens = tuple(
+        ModuleVector(tuple(AlgebraElement(field, context, row) for row in grid)) for grid in grids
+    )
     return GeneratorSet(field, context, n, gens)
 
 
@@ -133,10 +135,7 @@ def apply_invertible_op(gens: GeneratorSet, rng: SplitMix64) -> GeneratorSet:
         a = random_element(gens.field, gens.context, rng)
         rows[i] = rows[i] + rows[j].scale(a)
     else:
-        extra = ModuleVector.zeros(gens.field, gens.context, gens.ambient_dim)
-        for g in rows:
-            extra = extra + g.scale(random_element(gens.field, gens.context, rng))
-        rows.append(extra)
+        rows.append(combine(rows, [random_element(gens.field, gens.context, rng) for _ in rows]))
     return GeneratorSet(gens.field, gens.context, gens.ambient_dim, tuple(rows))
 
 
@@ -164,22 +163,15 @@ def perturb_rank_profile(gens: GeneratorSet, rng: SplitMix64) -> GeneratorSet:
         for pos in range(n):
             unit = [field.one if c == pos else field.zero for c in range(n)]
             if fiber_rank(fibers + [unit], field) > current:
-                grid = [
-                    [unit[c] if k == q else field.zero for k in range(len(context))]
-                    for c in range(n)
-                ]
-                extra = ModuleVector.from_grid(field, context, grid)
+                extra = ModuleVector(from_fibers(field, context, n, {q: unit}))
                 return GeneratorSet(field, context, n, gens.gens + (extra,))
         raise AssertionError("a unit vector outside a proper subspace must exist")
-    zero = field.zero
-    new_gens = []
-    for g in gens.gens:
-        grid = [
-            [zero if k == q else c.values[k] for k in range(len(context))]
-            for c in g.coords
-        ]
-        new_gens.append(ModuleVector.from_grid(field, context, grid))
-    return GeneratorSet(field, context, n, tuple(new_gens))
+    others = [k for k in range(len(context)) if k != q]
+    new_gens = tuple(
+        ModuleVector(from_fibers(field, context, n, {k: g.fiber(k) for k in others}))
+        for g in gens.gens
+    )
+    return GeneratorSet(field, context, n, new_gens)
 
 
 def constant_rank_instance(
@@ -202,7 +194,7 @@ def constant_rank_instance(
     m = 1 + rng.below(max_gens)
     rank = rng.below(min(m, n) + 1)
     context = AtomSet(default_labels(d))
-    grids = [[[field.zero] * d for _ in range(n)] for _ in range(m)]
+    per_atom = []
     for q in range(d):
         while True:
             head = [[random_scalar(field, rng) for _ in range(n)] for _ in range(rank)]
@@ -218,8 +210,9 @@ def constant_rank_instance(
         for i in range(m - 1, 0, -1):  # Fisher-Yates
             j = rng.below(i + 1)
             rows[i], rows[j] = rows[j], rows[i]
-        for k in range(m):
-            for c in range(n):
-                grids[k][c][q] = rows[k][c]
-    gens = tuple(ModuleVector.from_grid(field, context, grid) for grid in grids)
+        per_atom.append(rows)
+    gens = tuple(
+        ModuleVector(from_fibers(field, context, n, dict(enumerate(rows[k] for rows in per_atom))))
+        for k in range(m)
+    )
     return GeneratorSet(field, context, n, gens), rank

@@ -9,7 +9,7 @@ every element the regularity witness a*a*i(a) == a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
 from .errors import ContextMismatchError, LengthMismatchError, ValidationError
@@ -182,6 +182,22 @@ class StepForm:
         return acc
 
 
+def from_fibers(
+    field: Field, context: AtomSet, width: int, fibers: Mapping[int, Sequence[Scalar]]
+) -> tuple[AlgebraElement, ...]:
+    """`width` elements whose values at atom q are fibers[q], zero at atoms not in `fibers`.
+
+    The inverse of ModuleVector.fiber: per-atom answers glued into elements.
+    """
+    columns = [[field.zero] * len(context) for _ in range(width)]
+    for q, fiber in fibers.items():
+        if len(fiber) != width:
+            raise LengthMismatchError(f"fiber of {len(fiber)} values at atom {q}, expected {width}")
+        for column, v in zip(columns, fiber):
+            column[q] = v
+    return tuple(AlgebraElement(field, context, tuple(column)) for column in columns)
+
+
 def mix_scalars(p: PartitionOfUnity, elements: Sequence[AlgebraElement]) -> AlgebraElement:
     """The unique element agreeing with elements[i] on the i-th piece."""
     if len(elements) != len(p.pieces):
@@ -193,8 +209,7 @@ def mix_scalars(p: PartitionOfUnity, elements: Sequence[AlgebraElement]) -> Alge
         first._require_same_context(a)
     if p.context != first.context:
         raise ContextMismatchError("partition over a different atom set")
-    values = list(AlgebraElement.zeros(first.field, first.context).values)
-    for piece, a in zip(p.pieces, elements):
-        for i in piece.atom_indices():
-            values[i] = a.values[i]
-    return AlgebraElement(first.field, first.context, tuple(values))
+    fibers = {
+        q: (a.values[q],) for piece, a in zip(p.pieces, elements) for q in piece.atom_indices()
+    }
+    return from_fibers(first.field, first.context, 1, fibers)[0]

@@ -71,7 +71,7 @@ class PropertyResult:
 
 
 def _project_element(a: AlgebraElement, keep: tuple[int, ...], context: AtomSet) -> AlgebraElement:
-    return AlgebraElement.from_values(a.field, context, [a.values[q] for q in keep])
+    return AlgebraElement(a.field, context, [a.values[q] for q in keep])
 
 
 def _project_gens(gens: GeneratorSet, keep: tuple[int, ...]) -> GeneratorSet:

@@ -10,6 +10,7 @@ from regmod import (
     ContextMismatchError,
     GeneratorSet,
     ModuleVector,
+    NotInModuleError,
     Passport,
     PassportEntry,
     PassportMismatchError,
@@ -20,6 +21,7 @@ from regmod import (
     ZeroIdempotentError,
     atom_rank,
     build_isomorphism,
+    combine,
     extract_basis,
     finitely_dimensional_report,
     independence_test,
@@ -139,6 +141,19 @@ def test_passport_validation(f5, ctx):
         Passport((PassportEntry(q2, 1),))  # does not cover
     with pytest.raises(ValidationError):
         PassportEntry(ctx.empty(), 1)
+
+
+def test_passport_validation_through_partition(f5, ctx):
+    q12 = ctx.subset(["q1", "q2"])
+    q23 = ctx.subset(["q2", "q3"])
+    with pytest.raises(ValidationError):
+        Passport((PassportEntry(q12, 1), PassportEntry(q23, 2)))  # pieces overlap
+    with pytest.raises(ValidationError):
+        Passport(())
+    other = AtomSet(("q1", "q2", "q3", "q4"))
+    with pytest.raises(ContextMismatchError):
+        Passport((PassportEntry(ctx.subset(["q1"]), 0), PassportEntry(other.subset(["q2"]), 1)))
+    assert Passport((PassportEntry(q12, 0), PassportEntry(ctx.subset(["q3"]), 2))).max_rank == 2
 
 
 def test_kappa(f5, ctx, fixture_gens):
@@ -279,8 +294,6 @@ def test_isomorphism_linearity(f5, ctx, fixture_gens):
 @pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=["F5", "Q"])
 def test_iso_map_defining_properties(field):
     """gen_coords rebuild each generator on its piece; images are apply() of the generators."""
-    from regmod import combine
-
     for seed in range(12):
         rng = SplitMix64(seed)
         gens = random_generator_set(rng, field, max_atoms=8, max_gens=4, max_ambient=3)
@@ -292,6 +305,20 @@ def test_iso_map_defining_properties(field):
                     assert combine(pc.source_basis, coords) == gens.gens[k].restrict(pc.piece)
         for k, g in enumerate(gens.gens):
             assert iso.generator_images[k] == iso.apply(g)
+
+
+def test_apply_rejects_non_members(f5, ctx):
+    gens = GeneratorSet(f5, ctx, 2, (ModuleVector.from_grid(f5, ctx, [[1, 1, 0], [0, 0, 0]]),))
+    iso = build_isomorphism(gens, gens)
+    assert [pc.rank for pc in iso.pieces] == [0, 1]
+    assert iso.apply(gens.gens[0].scale(AlgebraElement.from_values(f5, ctx, (2, 3, 4)))) == (
+        ModuleVector.from_grid(f5, ctx, [[2, 3, 0], [0, 0, 0]])
+    )
+    assert iso.apply(ModuleVector.zeros(f5, ctx, 2)).is_zero
+    with pytest.raises(NotInModuleError, match="q3"):  # nonzero on the rank-0 piece
+        iso.apply(ModuleVector.from_grid(f5, ctx, [[0, 0, 1], [0, 0, 0]]))
+    with pytest.raises(NotInModuleError, match="q2"):  # outside the span on a rank-1 piece
+        iso.apply(ModuleVector.from_grid(f5, ctx, [[0, 0, 0], [0, 1, 0]]))
 
 
 def test_report_fixture(f5, ctx, fixture_gens):

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regmod import PrimeField, RationalField, ValidationError, is_prime
+from regmod import (
+    AlgebraElement,
+    AtomSet,
+    ModuleVector,
+    PrimeField,
+    RationalField,
+    ValidationError,
+    is_prime,
+)
+from regmod.fields import _quote
 
 
 def test_is_prime_small_table():
@@ -200,3 +210,59 @@ def test_check_all_accepts_bool_like_check():
     with pytest.raises(ValidationError) as info:
         PrimeField(2).check_all((1, 0, 2, 3))
     assert info.value.index == 2 and str(info.value) == "2 is not a canonical residue mod 2"
+
+
+# -- exact coerce at the library boundary -------------------------------------
+
+F5 = PrimeField(5)
+Q = RationalField()
+
+
+@pytest.mark.parametrize(
+    "field, raw, expected",
+    [
+        (F5, 7, 2),
+        (F5, -1, 4),
+        (F5, True, 1),
+        (F5, Fraction(1, 2), 3),
+        (F5, Fraction(-3, 4), 3),
+        (F5, Fraction(10, 3), 0),
+        (Q, 3, Fraction(3)),
+        (Q, -2, Fraction(-2)),
+        (Q, Fraction(1, 3), Fraction(1, 3)),
+    ],
+)
+def test_coerce_is_exact(field, raw, expected):
+    ctx = AtomSet(("q1", "q2"))
+    for element in (
+        AlgebraElement.from_values(field, ctx, [raw, raw]),
+        ModuleVector.from_grid(field, ctx, [[raw, raw]]).coords[0],
+    ):
+        assert element.values == (expected, expected)
+        assert all(type(v) is type(expected) for v in element.values)
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        (F5, 2.9),
+        (F5, 0.5),
+        (F5, "7"),
+        (F5, Decimal("1")),
+        (F5, Fraction(1, 5)),
+        (F5, Fraction(3, 10)),
+        (F5, "7" * 5000),
+        (Q, 0.1),
+        (Q, "1/2"),
+        (Q, Decimal("0.1")),
+    ],
+)
+def test_coerce_refuses_inexact_values(field, raw):
+    ctx = AtomSet(("q1",))
+    for build in (
+        lambda: AlgebraElement.from_values(field, ctx, [raw]),
+        lambda: ModuleVector.from_grid(field, ctx, [[raw]]),
+    ):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert _quote(raw) in str(info.value) and len(str(info.value)) < 200

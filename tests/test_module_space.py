@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmod import (
@@ -10,10 +10,12 @@ from regmod import (
     ContextMismatchError,
     GeneratorSet,
     Idempotent,
+    LengthMismatchError,
     ModuleVector,
     NotFaithfulError,
     PartitionOfUnity,
     PrimeField,
+    RationalField,
     ZeroIdempotentError,
     combine,
     full_support_element,
@@ -24,6 +26,7 @@ from regmod import (
 )
 from regmod.module_space import echelon, fiber_rank, kernel_sample, solve_linear
 from regmod.oracle import _rank
+from regmod.regular_algebra import from_fibers
 
 
 @pytest.fixture
@@ -66,6 +69,18 @@ def test_mix_vectors(f5, ctx):
     assert mix_vectors(p, [x, x]) == x
     z = ModuleVector.zeros(f5, ctx, 1)
     assert mix_vectors(p, [z, z]).is_zero
+
+
+def test_mix_vectors_errors(f5, ctx):
+    p = PartitionOfUnity((ctx.subset(["q1"]), ctx.subset(["q2", "q3"])))
+    x = vec(f5, ctx, (1, 1, 1))
+    with pytest.raises(LengthMismatchError):
+        mix_vectors(p, [x])
+    with pytest.raises(ContextMismatchError):
+        mix_vectors(p, [x, vec(f5, ctx, (1, 1, 1), (2, 2, 2))])
+    other = AtomSet(("a", "b", "c"))
+    with pytest.raises(ContextMismatchError):
+        mix_vectors(PartitionOfUnity((other.full(),)), [x])
 
 
 def test_membership_fixture(f5, ctx, fixture_gens):
@@ -238,3 +253,29 @@ def test_echelon_reads_rank_solution_and_kernel(rows, rhs):
     assert (k is None) == (len(pivots) == n)
     if k is not None:
         assert any(k) and all(sum(a * v for a, v in zip(row, k)) % 5 == 0 for row in rows)
+
+
+# -- from_fibers is the inverse of ModuleVector.fiber -------------------------
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(5), PrimeField(97), RationalField()], ids=["F5", "F97", "Q"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_from_fibers_inverts_fiber(field, data):
+    d = data.draw(st.integers(min_value=1, max_value=8))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    ctx = AtomSet(tuple(f"q{i + 1}" for i in range(d)))
+    if isinstance(field, PrimeField):
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+    else:
+        scalar = st.fractions(max_denominator=7)
+    rows = data.draw(st.lists(st.lists(scalar, min_size=d, max_size=d), min_size=n, max_size=n))
+    x = ModuleVector(tuple(AlgebraElement(field, ctx, tuple(row)) for row in rows))
+    s = Idempotent(ctx, data.draw(st.integers(min_value=0, max_value=ctx.full_mask)))
+    glued = from_fibers(field, ctx, n, {q: x.fiber(q) for q in s.atom_indices()})
+    assert ModuleVector(glued) == x.restrict(s)
+    assert from_fibers(field, ctx, 0, {q: () for q in s.atom_indices()}) == ()
+    with pytest.raises(LengthMismatchError):
+        from_fibers(field, ctx, n, {0: x.fiber(0) + (field.zero,)})

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from hashlib import sha256
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from regmod import (
     atom_rank_profile,
     passport,
 )
+from regmod.module_file import render_module_file
 from regmod.randgen import (
     ACCEPTANCE_FIELDS,
     apply_invertible_op,
@@ -114,10 +117,6 @@ def test_constant_rank_instance_is_constant(seed):
 
 def test_randgen_outputs_golden():
     """Byte-for-byte pin of the generators' output, seeds 0-199."""
-    from hashlib import sha256
-
-    from regmod.module_file import render_module_file
-
     h = sha256()
     branches = set()
     for seed in range(200):
