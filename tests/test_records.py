@@ -3,6 +3,9 @@ immutability, repr text and the validation each one runs on construction."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from regmod import (
@@ -187,6 +190,13 @@ def test_record_is_immutable(cls, names, values, change, text):
     with pytest.raises(AttributeError):
         record.not_a_field = None
     assert tuple(getattr(record, n) for n in names) == values
+
+
+@pytest.mark.parametrize("cls, names, values, change, text", CASES, ids=IDS)
+def test_record_copies_and_pickles(cls, names, values, change, text):
+    record = cls(*values)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
 
 
 @pytest.mark.parametrize("cls, names, values, change, text", CASES, ids=IDS)
