@@ -7,14 +7,12 @@ operations and every supremum exists trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ContextMismatchError, NotMinorantError, ValidationError
+from .errors import ContextMismatchError, NotMinorantError, Record, ValidationError
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(Record):
     """Ordered finite set of distinct atom labels; fixed for its lifetime."""
 
     labels: tuple[str, ...]
@@ -59,8 +57,7 @@ class AtomSet:
         return tuple(Idempotent(self, 1 << i) for i in range(len(self.labels)))
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(Record):
     """A subset of the atom set, i.e. one idempotent of the algebra."""
 
     context: AtomSet
@@ -151,8 +148,7 @@ def sup_family(es: Iterable[Idempotent], context: Optional[AtomSet] = None) -> I
     return acc
 
 
-@dataclass(frozen=True)
-class PartitionOfUnity:
+class PartitionOfUnity(Record):
     """Pairwise disjoint nonzero idempotents whose join is the full atom set."""
 
     pieces: tuple[Idempotent, ...]

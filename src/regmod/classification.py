@@ -13,7 +13,6 @@ passport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
@@ -22,6 +21,7 @@ from .errors import (
     NotInModuleError,
     PassportMismatchError,
     RankMismatchError,
+    Record,
     ValidationError,
     ZeroIdempotentError,
 )
@@ -37,8 +37,7 @@ from .module_space import (
 from .regular_algebra import AlgebraElement, from_fibers
 
 
-@dataclass(frozen=True)
-class PassportEntry:
+class PassportEntry(Record):
     piece: Idempotent
     rank: int
 
@@ -52,8 +51,7 @@ class PassportEntry:
         return f"rank={self.rank} piece={self.piece.render()}"
 
 
-@dataclass(frozen=True)
-class Passport:
+class Passport(Record):
     entries: tuple[PassportEntry, ...]
 
     def __post_init__(self):
@@ -93,8 +91,7 @@ class Passport:
         return self.render()
 
 
-@dataclass(frozen=True)
-class PivotStep:
+class PivotStep(Record):
     """One split event: while processing `piece`, the entry at (row, col)
     was inverted on `pivot_support` and eliminated there."""
 
@@ -104,8 +101,7 @@ class PivotStep:
     pivot_support: Idempotent
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(Record):
     start: Idempotent
     steps: tuple[PivotStep, ...]
     leaves: tuple[tuple[Idempotent, int], ...]
@@ -265,8 +261,7 @@ def extract_basis(
     return _selected_basis(gens, selection, rank)
 
 
-@dataclass(frozen=True)
-class PiecewiseBasis:
+class PiecewiseBasis(Record):
     """Local bases over a partition: on each piece, independent and spanning."""
 
     partition: PartitionOfUnity
@@ -294,8 +289,7 @@ def iso_check(gens: GeneratorSet, other: GeneratorSet) -> bool:
     return passport(gens) == passport(other)
 
 
-@dataclass(frozen=True)
-class IsoPiece:
+class IsoPiece(Record):
     """The isomorphism on one passport piece, in basis coordinates."""
 
     piece: Idempotent
@@ -316,8 +310,7 @@ def _target_combination(
     return combine(basis, [a for piece_coefficients in coefficients for a in piece_coefficients])
 
 
-@dataclass(frozen=True)
-class IsoMap:
+class IsoMap(Record):
     """A piecewise module isomorphism: basis-to-basis on every passport piece."""
 
     field: Field
@@ -417,8 +410,7 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
     )
 
 
-@dataclass(frozen=True)
-class FinitelyDimensionalReport:
+class FinitelyDimensionalReport(Record):
     passport: Passport
     decomposition: str
     independence_bound: int

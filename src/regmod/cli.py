@@ -198,6 +198,8 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
+    if args.cases < 1:
+        raise ValidationError("cases must be at least 1")
     results = run_suite(args.seed, args.cases)
     all_ok = all(r.ok for r in results)
     if args.json:

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all regmod modules."""
+"""Exception hierarchy and frozen record base shared by all regmod modules."""
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class RegmodError(Exception):
@@ -51,3 +53,43 @@ class ValidationError(RegmodError):
     """A module file parses but violates a structural constraint."""
 
     index: int | None = None  # set by a row method (parse_row, check_all): first bad position
+
+
+class _RecordType(type):
+    # one compiled __init__ per class: a loop over the fields costs ~0.4 µs more per construction
+    def __new__(mcls, name, bases, namespace):
+        fields = namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        namespace["_values"] = attrgetter(*fields) if fields else staticmethod(lambda record: ())
+        sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
+        post = "self.__post_init__()" if "__post_init__" in namespace else "pass"
+        init = f"def __init__(self, {', '.join(fields)}): {sets}{post}"
+        exec(init, {"_set": object.__setattr__}, namespace)
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Frozen value record: its annotated names are its fields and __slots__.
+
+    __init__ takes the fields by position or keyword, then runs the class's
+    own __post_init__, if any.  Equality and hash go by the field values.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, so __post_init__ runs
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

@@ -9,11 +9,10 @@ denominator (the Fraction constructor guarantees that).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import ValidationError
+from .errors import Record, ValidationError
 
 Scalar = Union[int, Fraction]
 
@@ -86,23 +85,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """F_p with residues stored as canonical ints in [0, p)."""
 
     p: int
+    zero, one = 0, 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def check(self, v: Scalar) -> None:
         if not isinstance(v, int) or not 0 <= v < self.p:
@@ -167,17 +158,10 @@ class PrimeField:
         return f"fp:{self.p}"
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Record):
     """The rationals; values are reduced Fractions with positive denominator."""
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero, one = Fraction(0), Fraction(1)  # immutable, so shared
 
     def check(self, v: Scalar) -> None:
         if not isinstance(v, Fraction):

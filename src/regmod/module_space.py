@@ -9,7 +9,6 @@ answers are reassembled by mixing over partitions of the atom set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
@@ -17,14 +16,14 @@ from .errors import (
     ContextMismatchError,
     LengthMismatchError,
     NotFaithfulError,
+    Record,
     ZeroIdempotentError,
 )
 from .fields import Field, Scalar
 from .regular_algebra import AlgebraElement, from_fibers
 
 
-@dataclass(frozen=True)
-class ModuleVector:
+class ModuleVector(Record):
     """An n-tuple of algebra elements over one shared (field, atom set)."""
 
     coords: tuple[AlgebraElement, ...]
@@ -110,8 +109,7 @@ class ModuleVector:
         return self.render()
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """A finite presentation: the module of all mixings of combinations of gens."""
 
     field: Field
@@ -252,8 +250,7 @@ def combine(gens: Sequence[ModuleVector], coefficients: Sequence[AlgebraElement]
     return acc
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     contained: bool
     coefficients: Optional[tuple[AlgebraElement, ...]]
     witness_atom: Optional[str]
@@ -282,8 +279,7 @@ def membership(x: ModuleVector, gens: GeneratorSet, e: Idempotent) -> Membership
     return MembershipResult(True, from_fibers(x.field, x.context, len(gens), solutions), None)
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(Record):
     independent: bool
     witness_atom: Optional[str]
     relation: Optional[tuple[Scalar, ...]]

@@ -10,20 +10,18 @@ be made twice to go unnoticed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent
 from .classification import IsoMap, Passport, PassportEntry
-from .errors import ContextMismatchError, ValidationError
+from .errors import ContextMismatchError, Record, ValidationError
 from .fields import Field, PrimeField, Scalar
 from .module_space import GeneratorSet
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True, eq=True)
-class RankProfile:
+class RankProfile(Record):
     context: AtomSet
     ranks: dict[str, int]
 
@@ -33,11 +31,6 @@ class RankProfile:
 
     def rank_of(self, label: str) -> int:
         return self.ranks[label]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RankProfile):
-            return NotImplemented
-        return self.context == other.context and self.ranks == other.ranks
 
 
 def _rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:

@@ -8,16 +8,14 @@ every element the regularity witness a*a*i(a) == a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
-from .errors import ContextMismatchError, LengthMismatchError, ValidationError
+from .errors import ContextMismatchError, LengthMismatchError, Record, ValidationError
 from .fields import Field, Scalar
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """A K-valued function on the atoms, in canonical scalar form."""
 
     field: Field
@@ -148,14 +146,12 @@ class AlgebraElement:
         return self.render()
 
 
-@dataclass(frozen=True)
-class StepTerm:
+class StepTerm(Record):
     value: Scalar
     piece: Idempotent
 
 
-@dataclass(frozen=True)
-class StepForm:
+class StepForm(Record):
     """A finite sum of scalar multiples of pairwise disjoint idempotents."""
 
     terms: tuple[StepTerm, ...]

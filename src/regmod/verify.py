@@ -9,7 +9,6 @@ small instance rather than the first random hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
@@ -20,6 +19,7 @@ from .classification import (
     kappa,
     passport,
 )
+from .errors import Record
 from .fields import Field
 from .module_file import render_module_file
 from .module_space import (
@@ -43,8 +43,7 @@ from .regular_algebra import AlgebraElement, mix_scalars
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(Record):
     name: str
     generate: Callable[[SplitMix64], Any]
     check: Callable[[Any], Optional[str]]
@@ -52,8 +51,7 @@ class Property:
     describe: Callable[[Any], str]
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Record):
     name: str
     cases: int
     passed: int

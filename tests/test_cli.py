@@ -304,6 +304,16 @@ def test_verify_json(capsys):
     }
 
 
+@pytest.mark.parametrize("cases", ["0", "-1"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_rejects_case_count_below_one(capsys, cases, json_flag):
+    # a run of no cases must not report that every property passed
+    assert main(["verify", "--seed", "1", "--cases", cases] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cases must be at least 1\n"
+
+
 def test_verify_catches_broken_engine(capsys, monkeypatch):
     # sabotage: report every module as rank 0 everywhere
     def bogus(gens, piece):
@@ -362,7 +372,12 @@ def test_long_piece_label_error_is_short(fixture_file, capsys):
 
 
 def test_cli_import_leaves_verify_and_randgen_unloaded():
-    code = "import sys, regmod.cli; print(sorted({'regmod.verify', 'regmod.randgen'} & set(sys.modules)))"
+    # only what `import regmod.cli` itself adds counts, not what start-up hooks loaded before it
+    code = (
+        "import sys; before = set(sys.modules); import regmod.cli; "
+        "print(sorted({'regmod.verify', 'regmod.randgen', 'dataclasses', 'inspect'}"
+        " & (set(sys.modules) - before)))"
+    )
     src = str(Path(regmod.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +7,7 @@ from hypothesis import strategies as st
 from regmod import (
     AtomSet,
     GeneratorSet,
+    IsoMap,
     ModuleVector,
     PrimeField,
     ValidationError,
@@ -111,8 +110,14 @@ def test_verify_accepts_recombination(fixture_gens):
 def test_verify_rejects_corrupted_images(f5, ctx, fixture_gens):
     iso = build_isomorphism(fixture_gens, fixture_gens)
     zero = ModuleVector.zeros(f5, ctx, 2)
-    broken = dataclasses.replace(
-        iso, generator_images=(zero,) + iso.generator_images[1:]
+    broken = IsoMap(
+        field=iso.field,
+        context=iso.context,
+        source_ambient_dim=iso.source_ambient_dim,
+        target_ambient_dim=iso.target_ambient_dim,
+        partition=iso.partition,
+        pieces=iso.pieces,
+        generator_images=(zero,) + iso.generator_images[1:],
     )
     assert not oracle_verify_iso(broken, fixture_gens, fixture_gens)
 
@@ -120,8 +125,13 @@ def test_verify_rejects_corrupted_images(f5, ctx, fixture_gens):
 def test_verify_rejects_swapped_images(f5, ctx, fixture_gens):
     # swapping the images breaks the action sampling: g1 must go to its own coords
     iso = build_isomorphism(fixture_gens, fixture_gens)
-    broken = dataclasses.replace(
-        iso,
+    broken = IsoMap(
+        field=iso.field,
+        context=iso.context,
+        source_ambient_dim=iso.source_ambient_dim,
+        target_ambient_dim=iso.target_ambient_dim,
+        partition=iso.partition,
+        pieces=iso.pieces,
         generator_images=(iso.generator_images[1], iso.generator_images[0]),
     )
     assert not oracle_verify_iso(broken, fixture_gens, fixture_gens)
