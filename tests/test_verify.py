@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
+from regmod.rng import SplitMix64
 from regmod.verify import PROPERTIES, Property, run_property, run_suite
 
 
@@ -81,3 +86,39 @@ def test_passing_property_counts_all_cases():
     assert result.passed == 50
     assert result.failure is None
     assert result.counterexample is None
+
+
+def _shrink_digest(prop: Property) -> str:
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for candidate in prop.shrink(prop.generate(SplitMix64(seed))):
+            digest.update(prop.describe(candidate).encode() + b"\0")
+        digest.update(b"\1")
+    return digest.hexdigest()
+
+
+# sha256 over seeds 0-19 of describe(c) for every shrink candidate c, in order;
+# the isomorphism describer omits the audit seed, so it shares the invariance pin
+SHRINK_PINS = {
+    "regularity_identities": "5fdbfbe0163e53b98238724f8bfc924facf0de40ebcba74f84c7fa86d9ba988d",
+    "support_of_products": "6f031cdce52236427ba3df97765971e6fd15818b6b177a9d253dc2fd7cd4a79e",
+    "disjoint_inversion_additivity": "0bedfbe74ad3f7ed14859125d06e1fb825dbee5ee1efbeababe70c99f81ae9c7",
+    "step_form_roundtrip": "c3df2f3079da2cd54054abcb2d6f5f9c85ccc5a29fd65f53d5b384d8c1759da0",
+    "passport_matches_oracle": "ab5b59158af69ee2efb883aa81225a03b548f10bb977b06ec6ac4b295b3b0ca2",
+    "presentation_invariance": "5afa089b8fe28db717001b9ef9fb6c9cb3da897c084b56c0af8e733601794aee",
+    "isomorphism_construction": "5afa089b8fe28db717001b9ef9fb6c9cb3da897c084b56c0af8e733601794aee",
+    "homogeneous_pieces_glue": "ab5b59158af69ee2efb883aa81225a03b548f10bb977b06ec6ac4b295b3b0ca2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_PINS))
+def test_shrink_candidates_are_pinned(name):
+    prop = next(p for p in PROPERTIES if p.name == name)
+    assert _shrink_digest(prop) == SHRINK_PINS[name]
+
+
+def test_isomorphism_shrink_keeps_the_audit_seed():
+    prop = next(p for p in PROPERTIES if p.name == "isomorphism_construction")
+    for seed in range(20):
+        instance = prop.generate(SplitMix64(seed))
+        assert all(c[2] == instance[2] for c in prop.shrink(instance))
