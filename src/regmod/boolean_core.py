@@ -18,8 +18,6 @@ class AtomSet(Record):
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) == 0:
             raise ValidationError("atom set must contain at least one atom")
         if len(set(self.labels)) != len(self.labels):
@@ -154,8 +152,6 @@ class PartitionOfUnity(Record):
     pieces: tuple[Idempotent, ...]
 
     def __post_init__(self):
-        if not isinstance(self.pieces, tuple):
-            object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise ValidationError("a partition of unity has at least one piece")
         ctx = self.pieces[0].context
@@ -192,13 +188,7 @@ class PartitionOfUnity(Record):
         """Common refinement: all nonzero pairwise meets, in pair order."""
         if self.context != other.context:
             raise ContextMismatchError("partitions over different atom sets")
-        pieces = []
-        for e in self.pieces:
-            for f in other.pieces:
-                g = e.meet(f)
-                if not g.is_zero:
-                    pieces.append(g)
-        return PartitionOfUnity(tuple(pieces))
+        return PartitionOfUnity(tuple(g for e in self.pieces for g in restrict_partition(e, other)))
 
     @staticmethod
     def atoms(context: AtomSet) -> "PartitionOfUnity":

@@ -55,8 +55,6 @@ class Passport(Record):
     entries: tuple[PassportEntry, ...]
 
     def __post_init__(self):
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
         ranks = [entry.rank for entry in self.entries]
         if any(a >= b for a, b in zip(ranks, ranks[1:])):
             raise ValidationError("passport ranks must be strictly increasing")

@@ -316,10 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RegmodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RegmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,9 +58,13 @@ class ValidationError(RegmodError):
 class _RecordType(type):
     # one compiled __init__ per class: a loop over the fields costs ~0.4 µs more per construction
     def __new__(mcls, name, bases, namespace):
-        fields = namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        annotations = namespace.get("__annotations__", {})
+        fields = namespace["__slots__"] = tuple(annotations)
         namespace["_values"] = attrgetter(*fields) if fields else staticmethod(lambda record: ())
-        sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
+        # annotations are strings (postponed evaluation), so a tuple field's reads "tuple[...]"
+        tuples = {f: f"{f} if isinstance({f}, tuple) else tuple({f})" for f in fields
+                  if annotations[f].startswith("tuple[")}
+        sets = "".join(f"_set(self, {field!r}, {tuples.get(field, field)}); " for field in fields)
         post = "self.__post_init__()" if "__post_init__" in namespace else "pass"
         init = f"def __init__(self, {', '.join(fields)}): {sets}{post}"
         exec(init, {"_set": object.__setattr__}, namespace)
@@ -70,8 +74,9 @@ class _RecordType(type):
 class Record(metaclass=_RecordType):
     """Frozen value record: its annotated names are its fields and __slots__.
 
-    __init__ takes the fields by position or keyword, then runs the class's
-    own __post_init__, if any.  Equality and hash go by the field values.
+    __init__ takes the fields by position or keyword, stores any iterable
+    given for a tuple[...] field as a tuple, then runs the class's own
+    __post_init__, if any.  Equality and hash go by the field values.
     """
 
     def __eq__(self, other):

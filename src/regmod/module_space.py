@@ -29,8 +29,6 @@ class ModuleVector(Record):
     coords: tuple[AlgebraElement, ...]
 
     def __post_init__(self):
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
         if not self.coords:
             raise LengthMismatchError("a module vector needs at least one coordinate")
         first = self.coords[0]
@@ -118,8 +116,6 @@ class GeneratorSet(Record):
     gens: tuple[ModuleVector, ...]
 
     def __post_init__(self):
-        if not isinstance(self.gens, tuple):
-            object.__setattr__(self, "gens", tuple(self.gens))
         if self.ambient_dim < 1:
             raise LengthMismatchError("ambient dimension must be at least 1")
         for g in self.gens:

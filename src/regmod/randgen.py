@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .boolean_core import AtomSet
+from .boolean_core import AtomSet, Idempotent
 from .fields import Field, PrimeField, RationalField, Scalar
 from .module_space import GeneratorSet, ModuleVector, combine, fiber_rank
 from .regular_algebra import AlgebraElement, from_fibers
@@ -89,20 +89,9 @@ def random_generator_set(
     n = 1 + rng.below(max_ambient)
     context = AtomSet(default_labels(d))
     m = 0 if rng.below(10) == 0 else 1 + rng.below(max_gens)
-    grids = [
-        [[random_scalar(field, rng) if rng.below(3) else field.zero for _ in range(d)]
-         for _ in range(n)]
-        for _ in range(m)
-    ]
-    for q in range(d):
-        if rng.below(8) == 0:
-            for grid in grids:
-                for row in grid:
-                    row[q] = field.zero
-    gens = tuple(
-        ModuleVector(tuple(AlgebraElement(field, context, row) for row in grid)) for grid in grids
-    )
-    return GeneratorSet(field, context, n, gens)
+    gens = [random_vector(field, context, n, rng) for _ in range(m)]
+    alive = Idempotent(context, sum(1 << q for q in range(d) if rng.below(8)))
+    return GeneratorSet(field, context, n, tuple(g.restrict(alive) for g in gens))
 
 
 # ---------------------------------------------------------------------------

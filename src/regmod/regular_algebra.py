@@ -23,8 +23,6 @@ class AlgebraElement(Record):
     values: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != len(self.context):
             raise LengthMismatchError(
                 f"{len(self.values)} values for {len(self.context)} atoms"

@@ -68,24 +68,26 @@ class PropertyResult(Record):
 # retry; any candidate that still fails replaces the instance.
 
 
-def _project_element(a: AlgebraElement, keep: tuple[int, ...], context: AtomSet) -> AlgebraElement:
-    return AlgebraElement(a.field, context, [a.values[q] for q in keep])
+def _project(instance: Any, keep: tuple[int, ...], context: AtomSet) -> Any:
+    """Cut every element or generator set in instance to the atoms in keep."""
+    if isinstance(instance, tuple):
+        return tuple(_project(part, keep, context) for part in instance)
+    if isinstance(instance, AlgebraElement):
+        return AlgebraElement(instance.field, context, [instance.values[q] for q in keep])
+    if isinstance(instance, GeneratorSet):
+        projected = tuple(ModuleVector(_project(g.coords, keep, context)) for g in instance.gens)
+        return GeneratorSet(instance.field, context, instance.ambient_dim, projected)
+    return instance  # a seed
 
 
-def _project_gens(gens: GeneratorSet, keep: tuple[int, ...]) -> GeneratorSet:
-    context = AtomSet(tuple(gens.context.labels[q] for q in keep))
-    projected = tuple(
-        ModuleVector(tuple(_project_element(c, keep, context) for c in g.coords))
-        for g in gens.gens
-    )
-    return GeneratorSet(gens.field, context, gens.ambient_dim, projected)
-
-
-def _atom_subsets(d: int) -> Iterable[tuple[int, ...]]:
-    if d <= 1:
+def _drop_atom(instance: Any) -> Iterable[Any]:
+    """Each candidate drops one atom, in atom order; an instance of one atom has none."""
+    labels = (instance[0] if isinstance(instance, tuple) else instance).context.labels
+    if len(labels) <= 1:
         return
-    for q in range(d):
-        yield tuple(i for i in range(d) if i != q)
+    for q in range(len(labels)):
+        keep = tuple(i for i in range(len(labels)) if i != q)
+        yield _project(instance, keep, AtomSet(tuple(labels[i] for i in keep)))
 
 
 def _shrink_gens(gens: GeneratorSet) -> Iterable[GeneratorSet]:
@@ -94,8 +96,7 @@ def _shrink_gens(gens: GeneratorSet) -> Iterable[GeneratorSet]:
             gens.field, gens.context, gens.ambient_dim,
             gens.gens[:k] + gens.gens[k + 1:],
         )
-    for keep in _atom_subsets(len(gens.context)):
-        yield _project_gens(gens, keep)
+    yield from _drop_atom(gens)
 
 
 def _no_shrink(_instance: Any) -> Iterable[Any]:
@@ -122,10 +123,6 @@ def _describe_element(a: AlgebraElement) -> str:
     return f"field={a.field.describe()} atoms={list(a.context.labels)} a={a.render()}"
 
 
-def _describe_gens(gens: GeneratorSet) -> str:
-    return render_module_file(gens)
-
-
 # ---------------------------------------------------------------------------
 # The properties.
 
@@ -149,12 +146,6 @@ def _check_regularity(a: AlgebraElement) -> Optional[str]:
     return None
 
 
-def _shrink_element(a: AlgebraElement) -> Iterable[AlgebraElement]:
-    for keep in _atom_subsets(len(a.context)):
-        context = AtomSet(tuple(a.context.labels[q] for q in keep))
-        yield _project_element(a, keep, context)
-
-
 def _gen_pair(rng: SplitMix64) -> tuple[AlgebraElement, AlgebraElement]:
     field, context = _random_context(rng)
     return random_element(field, context, rng), random_element(field, context, rng)
@@ -165,13 +156,6 @@ def _check_support_product(pair: tuple[AlgebraElement, AlgebraElement]) -> Optio
     if (a * b).support() != a.support().meet(b.support()):
         return "s(ab) ≠ s(a)∧s(b)"
     return None
-
-
-def _shrink_pair(pair) -> Iterable[tuple[AlgebraElement, AlgebraElement]]:
-    a, b = pair
-    for keep in _atom_subsets(len(a.context)):
-        context = AtomSet(tuple(a.context.labels[q] for q in keep))
-        yield _project_element(a, keep, context), _project_element(b, keep, context)
 
 
 def _describe_pair(pair) -> str:
@@ -255,7 +239,7 @@ def _check_membership(instance) -> Optional[str]:
 def _describe_membership(instance) -> str:
     gens, coeffs = instance
     parts = ", ".join(a.render() for a in coeffs)
-    return f"{_describe_gens(gens)}coefficients: {parts}"
+    return f"{render_module_file(gens)}coefficients: {parts}"
 
 
 def _gen_gens(rng: SplitMix64) -> GeneratorSet:
@@ -282,15 +266,9 @@ def _check_invariance(instance) -> Optional[str]:
     return None
 
 
-def _shrink_gens_pair(instance) -> Iterable[tuple[GeneratorSet, GeneratorSet]]:
-    gens, other = instance
-    for keep in _atom_subsets(len(gens.context)):
-        yield _project_gens(gens, keep), _project_gens(other, keep)
-
-
 def _describe_gens_pair(instance) -> str:
-    gens, other = instance
-    return _describe_gens(gens) + _describe_gens(other)
+    gens, other = instance[:2]  # the isomorphism property's audit seed is not shown
+    return render_module_file(gens) + render_module_file(other)
 
 
 def _gen_iso(rng: SplitMix64) -> tuple[GeneratorSet, GeneratorSet, int]:
@@ -306,17 +284,6 @@ def _check_iso(instance) -> Optional[str]:
     if not oracle_verify_iso(iso, gens, other, seed=seed):
         return "constructed map failed the fiberwise audit"
     return None
-
-
-def _shrink_iso(instance) -> Iterable[tuple[GeneratorSet, GeneratorSet, int]]:
-    gens, other, seed = instance
-    for keep in _atom_subsets(len(gens.context)):
-        yield _project_gens(gens, keep), _project_gens(other, keep), seed
-
-
-def _describe_iso(instance) -> str:
-    gens, other, _seed = instance
-    return _describe_gens(gens) + _describe_gens(other)
 
 
 def _gen_independence(rng: SplitMix64):
@@ -344,7 +311,7 @@ def _check_independence(instance) -> Optional[str]:
 def _describe_independence(instance) -> str:
     gens, sample, e = instance
     vecs = "\n".join(v.render() for v in sample)
-    return f"{_describe_gens(gens)}piece: {e.render()}\nsampled combinations:\n{vecs}"
+    return f"{render_module_file(gens)}piece: {e.render()}\nsampled combinations:\n{vecs}"
 
 
 def _check_gluing(gens: GeneratorSet) -> Optional[str]:
@@ -385,26 +352,26 @@ def _describe_split(instance) -> str:
 
 PROPERTIES: tuple[Property, ...] = (
     Property("regularity_identities", _gen_one_element, _check_regularity,
-             _shrink_element, _describe_element),
+             _drop_atom, _describe_element),
     Property("support_of_products", _gen_pair, _check_support_product,
-             _shrink_pair, _describe_pair),
+             _drop_atom, _describe_pair),
     Property("disjoint_inversion_additivity", _gen_disjoint_pair,
-             _check_disjoint_additivity, _shrink_pair, _describe_pair),
+             _check_disjoint_additivity, _drop_atom, _describe_pair),
     Property("mixing_uniqueness", _gen_mix, _check_mix, _no_shrink, _describe_mix),
     Property("step_form_roundtrip", _gen_step, _check_step,
-             _shrink_element, _describe_element),
+             _drop_atom, _describe_element),
     Property("membership_of_combinations", _gen_membership, _check_membership,
              _no_shrink, _describe_membership),
     Property("passport_matches_oracle", _gen_gens, _check_passport_oracle,
-             _shrink_gens, _describe_gens),
+             _shrink_gens, render_module_file),
     Property("presentation_invariance", _gen_invariance, _check_invariance,
-             _shrink_gens_pair, _describe_gens_pair),
+             _drop_atom, _describe_gens_pair),
     Property("isomorphism_construction", _gen_iso, _check_iso,
-             _shrink_iso, _describe_iso),
+             _drop_atom, _describe_gens_pair),
     Property("independence_bound", _gen_independence, _check_independence,
              _no_shrink, _describe_independence),
     Property("homogeneous_pieces_glue", _gen_gens, _check_gluing,
-             _shrink_gens, _describe_gens),
+             _shrink_gens, render_module_file),
     Property("split_reassemble_roundtrip", _gen_split, _check_split,
              _no_shrink, _describe_split),
 )

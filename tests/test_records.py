@@ -208,11 +208,30 @@ def test_record_cases_cover_every_record_type():
     assert len(CASES) == len(set(IDS)) == 23
 
 
+# the tuple[...] fields of each record type not covered by the checks above
+LIST_FIELDS = {
+    PartitionOfUnity: ("pieces",),
+    GeneratorSet: ("gens",),
+    EliminationTrace: ("steps", "leaves"),
+    PiecewiseBasis: ("bases",),
+    IsoPiece: ("source_basis", "target_basis", "gen_coords"),
+    IsoMap: ("pieces", "generator_images"),
+    StepForm: ("terms",),
+}
+
+
 def test_post_init_normalises_keyword_arguments():
     assert AtomSet(labels=["q1", "q2"]).labels == ("q1", "q2")
     assert ModuleVector(coords=[A]).coords == (A,)
     assert AlgebraElement(field=F5, context=CTX, values=[1, 2]) == A
     assert Passport(entries=[ENTRY]) == PP
+    for cls, names, values, _change, _text in CASES:
+        for name in LIST_FIELDS.get(cls, ()):
+            kwargs = dict(zip(names, values))
+            kwargs[name] = list(kwargs[name])
+            record = cls(**kwargs)
+            assert type(getattr(record, name)) is tuple, (cls.__name__, name)
+            assert record == cls(*values)
 
 
 @pytest.mark.parametrize(
