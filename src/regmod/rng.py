@@ -1,4 +1,4 @@
-"""Counter-free seeded pseudorandom stream with fixed cross-platform output.
+"""Counter-based seeded pseudorandom stream with fixed cross-platform output.
 
 SplitMix64: state advances by the 64-bit golden-gamma constant and each
 output is a finalizer hash of the state.  Chosen over random.Random because
@@ -29,10 +29,21 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform-enough draw in [0, bound); bound ≤ 2^32 keeps bias negligible."""
+        """Uniform draw in [0, bound) for any positive bound.
+
+        Joins as many 64-bit words as the bound needs and draws again when
+        they fall past the last whole multiple of the bound.  For a bound of
+        at most 2^64 a redraw has chance below bound/2^64, so a draw is then
+        almost always one word reduced modulo the bound.
+        """
         if bound < 1:
             raise ValueError("bound must be positive")
-        return self.next64() % bound
+        while True:
+            x, span = self.next64(), 1 << 64
+            while span < bound:
+                x, span = x << 64 | self.next64(), span << 64
+            if x < span - bound or x < span - span % bound:  # the first test spares the exact limit
+                return x % bound
 
     def choice(self, items: Sequence[T]) -> T:
         return items[self.below(len(items))]

@@ -91,6 +91,14 @@ def test_gen_field_modulus_accepts_digits(capsys):
     assert json.loads(capsys.readouterr().out)["field"] == {"kind": "fp", "p": 5}
 
 
+def test_gen_draws_scalars_past_64_bits_in_a_wide_field(capsys):
+    assert main(["gen", "--seed", "1", "--atoms", "256", "--ambient", "4", "--gens", "4",
+                 "--field", "fp:1000000000000000000000007"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    scalars = [int(s) for g in doc["generators"] for row in g for s in row]
+    assert len(scalars) == 4096 and max(scalars) >= 2**64
+
+
 @pytest.mark.parametrize("field, scalar", [
     ('{"kind": "fp", "p": 5}', "1" * 5000),
     ('{"kind": "fp", "p": 5}', "x" * 5000),

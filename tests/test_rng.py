@@ -39,6 +39,31 @@ def test_below_bounds_and_determinism():
     assert SplitMix64(0).below(1) == 0
 
 
+@pytest.mark.parametrize("bound", [2, 97, 2**32, 2**61 - 1, 2**64])
+def test_below_is_one_word_modulo_the_bound_up_to_2_64(bound):
+    r, replay = SplitMix64(bound), SplitMix64(bound)
+    draws = [r.below(bound) for _ in range(10**5)]
+    assert draws == [replay.next64() % bound for _ in range(10**5)]
+
+
+def test_below_redraws_past_the_last_whole_multiple():
+    bound = 3 << 62  # a word at or past 3·2^62 would favour the residues below 2^62
+    r, replay = SplitMix64(5), SplitMix64(5)
+    for _ in range(200):
+        word = replay.next64()
+        while word >= bound:
+            word = replay.next64()
+        assert r.below(bound) == word
+
+
+def test_below_joins_words_past_2_64():
+    r, replay = SplitMix64(11), SplitMix64(11)
+    draws = [r.below(2**70) for _ in range(200)]
+    assert any(d >= 2**64 for d in draws)
+    words = [replay.next64() for _ in range(400)]
+    assert draws == [(hi % 64) << 64 | lo for hi, lo in zip(words[::2], words[1::2])]
+
+
 def test_below_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)
