@@ -61,7 +61,7 @@ class _RecordType(type):
         annotations = namespace.get("__annotations__", {})
         fields = namespace["__slots__"] = tuple(annotations)
         namespace["_values"] = attrgetter(*fields) if fields else staticmethod(lambda record: ())
-        # annotations are strings (postponed evaluation), so a tuple field's reads "tuple[...]"
+        # postponed annotations are strings: each tuple field's annotation starts "tuple["
         tuples = {f: f"{f} if isinstance({f}, tuple) else tuple({f})" for f in fields
                   if annotations[f].startswith("tuple[")}
         sets = "".join(f"_set(self, {field!r}, {tuples.get(field, field)}); " for field in fields)
