@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 from regmod import (
     AtomSet,
     GeneratorSet,
+    Idempotent,
     IsoMap,
+    IsoPiece,
     ModuleVector,
     PrimeField,
+    RationalField,
     ValidationError,
     atom_rank_profile,
     build_isomorphism,
@@ -18,7 +23,13 @@ from regmod import (
     passport,
 )
 from regmod.oracle import RankProfile, _express, _rank
-from regmod.randgen import constant_rank_instance, random_generator_set, recombined_copy
+from regmod.randgen import (
+    constant_rank_instance,
+    random_generator_set,
+    random_scalar,
+    random_unit,
+    recombined_copy,
+)
 from regmod.rng import SplitMix64
 
 
@@ -30,6 +41,10 @@ def f5():
 @pytest.fixture
 def ctx():
     return AtomSet(("q1", "q2", "q3"))
+
+
+def _with(record, **changes):
+    return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
 
 
 def test_rank_small_matrices(f5):
@@ -152,3 +167,92 @@ def test_verify_accepts_random_recombinations(seed):
     other = recombined_copy(gens, rng, ops=5)
     iso = build_isomorphism(gens, other)
     assert oracle_verify_iso(iso, gens, other)
+
+
+# The oracle's answers and verdicts, pinned so that a rewrite of its
+# elimination or of its audit loop must reproduce them exactly.
+PIN_FIELDS = (PrimeField(2), PrimeField(5), PrimeField(97), PrimeField(2**61 - 1), RationalField())
+ELIMINATION_PIN = "9d562a125f1e855d892905ee599750f95aac75f3eddcfc886bc2b81462d852fd"
+VERDICT_PIN = "c08ce9f22cea49831f60db5a4912902758ea41dbcd5770b05225e2fb04078561"
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def _sparse_row(field, rng: SplitMix64, cols: int) -> list:
+    return [field.zero if rng.below(3) == 0 else random_scalar(field, rng) for _ in range(cols)]
+
+
+def _combination(field, rng: SplitMix64, rows, cols: int) -> list:
+    out = [field.zero] * cols
+    for row in rows:
+        c = random_scalar(field, rng)
+        out = [field.add(o, field.mul(c, v)) for o, v in zip(out, row)]
+    return out
+
+
+def test_elimination_answers_are_pinned():
+    rng = SplitMix64(11)
+    answers = []
+    for field in PIN_FIELDS:
+        for _ in range(200):
+            m, n = rng.below(6), 1 + rng.below(5)
+            rows = [_sparse_row(field, rng, n) for _ in range(m)]
+            answers.append(_rank(rows, field))
+            if rows and rng.below(2):  # a dependent basis vector: its coefficient must be 0
+                rows.append(_combination(field, rng, rows, n))
+            target = _combination(field, rng, rows, n) if rng.below(2) else _sparse_row(field, rng, n)
+            answers.append(_express(rows, target, field))
+    assert _sha256(answers) == ELIMINATION_PIN
+
+
+def _recombined_iso(seed: int, field=None):
+    rng = SplitMix64(seed)
+    gens = random_generator_set(rng, field, max_atoms=5, max_gens=4, max_ambient=4)
+    other = recombined_copy(gens, rng, ops=4)
+    return rng, gens, other, build_isomorphism(gens, other)
+
+
+def test_verify_verdicts_are_pinned():
+    verdicts = []
+    for seed in range(60):
+        rng, gens, other, iso = _recombined_iso(seed)
+        ctx, dim = iso.context, iso.target_ambient_dim
+        bumped = list(iso.generator_images)
+        if bumped:
+            at = Idempotent(ctx, 1 << rng.below(len(ctx)))
+            bumped[0] = bumped[0] + ModuleVector.unit(iso.field, ctx, dim, rng.below(dim)).restrict(at)
+        swapped_bases = tuple(
+            IsoPiece(pc.piece, pc.rank, pc.target_basis, pc.source_basis, pc.gen_coords)
+            for pc in iso.pieces
+        )
+        variants = [
+            iso,
+            _with(iso, generator_images=bumped),
+            _with(iso, generator_images=iso.generator_images[::-1]),
+            _with(iso, pieces=swapped_bases),
+            _with(iso, pieces=iso.pieces[1:]),
+        ]
+        verdicts.append([oracle_verify_iso(v, gens, other, seed=seed) for v in variants])
+    assert all(v[0] for v in verdicts)
+    assert _sha256(verdicts) == VERDICT_PIN
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(97), RationalField()], ids=str)
+def test_verify_probes_reject_images_scaled_by_a_unit(field):
+    # per-atom scaling keeps every fiber rank, so only the sampled probes can see it
+    seed = taken = 0
+    while taken < 6:
+        rng, gens, other, iso = _recombined_iso(seed, field)
+        seed += 1
+        u = random_unit(field, gens.context, rng)
+        if not any(
+            u.values[q] != field.one and any(any(img.fiber(q)) for img in iso.generator_images)
+            for q in range(len(gens.context))
+        ):
+            continue  # the scaled map equals the genuine one
+        taken += 1
+        scaled = _with(iso, generator_images=[img.scale(u) for img in iso.generator_images])
+        assert oracle_verify_iso(iso, gens, other, seed=seed)
+        assert not oracle_verify_iso(scaled, gens, other, seed=seed)
