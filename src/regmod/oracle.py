@@ -1,11 +1,11 @@
 """Brute-force ground truth for the classification engine.
 
 Everything here answers questions one atom at a time with its own textbook
-linear algebra.  Deliberately kept independent of the main engine: only the
-field layer and the plain data types are shared, the elimination code is
-not, and the pivot rule differs (first nonzero entry in column-major scan
-versus the engine's support-coverage maximization), so a bug would have to
-be made twice to go unnoticed.
+linear algebra, sharing only the field layer and the record types with the
+engine, so a bug would have to be made twice to go unnoticed.  Its one
+elimination routine, `_reduce`, shares no code with `regular_eliminate` or
+`module_space.echelon`, and its pivot rule (first nonzero entry, column-major)
+is echelon's, not the engine's support-coverage maximization.
 """
 
 from __future__ import annotations
@@ -33,36 +33,34 @@ class RankProfile(Record):
         return self.ranks[label]
 
 
-def _rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
-    """Row rank by classical elimination, pivots found column-major."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    cols = len(work[0])
+def _reduce(work: list[list[Scalar]], cols: int, field: Field) -> list[int]:
+    """Gauss–Jordan in place on the first `cols` columns; returns the pivot columns."""
     zero = field.zero
-    top = 0
+    pivots: list[int] = []
     for col in range(cols):
-        pivot_row = None
-        for r in range(top, len(work)):
-            if work[r][col] != zero:
-                pivot_row = r
+        top = len(pivots)
+        if top == len(work):
+            break
+        for pivot_row in range(top, len(work)):  # column-major: first nonzero below the pivots
+            if work[pivot_row][col] != zero:
                 break
-        if pivot_row is None:
-            continue
+        else:
+            continue  # no pivot in this column
         work[top], work[pivot_row] = work[pivot_row], work[top]
         inv = field.inv(work[top][col])
         work[top] = [field.mul(inv, v) for v in work[top]]
-        for r in range(len(work)):
-            if r != top and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(work[r], work[top])
-                ]
-        top += 1
-        if top == len(work):
-            break
-    return top
+        for r, row in enumerate(work):
+            factor = row[col]
+            if r != top and factor != zero:
+                work[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(row, work[top])]
+        pivots.append(col)
+    return pivots
+
+
+def _rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
+    """Row rank by classical elimination, pivots found column-major."""
+    work = [list(r) for r in rows]
+    return len(_reduce(work, len(work[0]) if work else 0, field))
 
 
 def _express(
@@ -72,36 +70,12 @@ def _express(
     n = len(target)
     m = len(basis_fibers)
     work = [[basis_fibers[k][l] for k in range(m)] + [target[l]] for l in range(n)]
-    zero = field.zero
-    top = 0
-    pivot_cols: list[int] = []
-    for col in range(m):
-        pivot_row = None
-        for r in range(top, n):
-            if work[r][col] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[top], work[pivot_row] = work[pivot_row], work[top]
-        inv = field.inv(work[top][col])
-        work[top] = [field.mul(inv, v) for v in work[top]]
-        for r in range(n):
-            if r != top and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(work[r], work[top])
-                ]
-        pivot_cols.append(col)
-        top += 1
-        if top == n:
-            break
-    for r in range(top, n):
-        if work[r][m] != zero:
+    pivots = _reduce(work, m, field)
+    for r in range(len(pivots), n):
+        if work[r][m] != field.zero:
             return None
-    coeffs = [zero] * m
-    for r, col in enumerate(pivot_cols):
+    coeffs = [field.zero] * m
+    for r, col in enumerate(pivots):
         coeffs[col] = work[r][m]
     return coeffs
 
@@ -135,16 +109,22 @@ def _sample_scalar(field: Field, rng: SplitMix64) -> Scalar:
     return Fraction(rng.below(19) - 9, 1 + rng.below(7))
 
 
+def _combination(field: Field, a: Scalar, x: Sequence, b: Scalar, y: Sequence) -> list:
+    """The fiber a·x + b·y."""
+    return [field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(x, y)]
+
+
 def oracle_verify_iso(
     iso: IsoMap, gens: GeneratorSet, other: GeneratorSet, seed: int = 2026, samples: int = 4
 ) -> bool:
     """Fiberwise audit of a claimed isomorphism.
 
     At every atom the correspondence generator-fiber → image-fiber must be a
-    well-defined K-linear bijection between the two fiber spans, the piece
-    bases must have the advertised local rank, and on a seeded random sample
-    of scalar pairs the piecewise basis data must reproduce the claimed
-    generator images (the map commutes with the algebra action).
+    well-defined K-linear bijection between the two fiber spans, each piece's
+    two bases must hold exactly `rank` vectors and have that local rank, and
+    on a seeded random sample of scalar pairs the piecewise basis data must
+    reproduce the claimed generator images (the map commutes with the
+    algebra action).
     """
     if not gens.same_algebra(other):
         raise ContextMismatchError("presentations over different algebras")
@@ -159,10 +139,13 @@ def oracle_verify_iso(
     field = gens.field
     piece_at: dict[int, object] = {}
     for pc in iso.pieces:
+        if len(pc.source_basis) != pc.rank or len(pc.target_basis) != pc.rank:
+            return False  # a surplus dependent vector would pass the rank checks
         for q in pc.piece.atom_indices():
             piece_at[q] = pc
     if set(piece_at) != set(range(len(gens.context))):
         return False
+    fibers = []  # per atom: generator, image, source basis and target basis fibers
     for q in range(len(gens.context)):
         source = gens.fiber_matrix(q)
         images = [list(img.fiber(q)) for img in iso.generator_images]
@@ -184,37 +167,24 @@ def oracle_verify_iso(
             return False
         if _rank(tgt_basis_fibers, field) != pc.rank:
             return False
+        fibers.append((source, images, src_basis_fibers, tgt_basis_fibers))
     if gens.gens and samples > 0:
         rng = SplitMix64(seed)
         m = len(gens.gens)
         for _ in range(samples):
             k = rng.below(m)
             l = rng.below(m)
-            for q in range(len(gens.context)):
+            for source, images, src_basis_fibers, tgt_basis_fibers in fibers:
                 a = _sample_scalar(field, rng)
                 b = _sample_scalar(field, rng)
-                pc = piece_at[q]
-                fiber = [
-                    field.add(
-                        field.mul(a, u), field.mul(b, v)
-                    )
-                    for u, v in zip(gens.gens[k].fiber(q), gens.gens[l].fiber(q))
-                ]
-                expected = [
-                    field.add(field.mul(a, u), field.mul(b, v))
-                    for u, v in zip(
-                        iso.generator_images[k].fiber(q),
-                        iso.generator_images[l].fiber(q),
-                    )
-                ]
-                src_basis_fibers = [list(bv.fiber(q)) for bv in pc.source_basis]
+                fiber = _combination(field, a, source[k], b, source[l])
                 coeffs = _express(src_basis_fibers, fiber, field)
                 if coeffs is None:
                     return False
                 mapped = [field.zero] * other.ambient_dim
-                for s, c in enumerate(coeffs):
-                    for pos, v in enumerate(pc.target_basis[s].fiber(q)):
+                for c, basis_fiber in zip(coeffs, tgt_basis_fibers):
+                    for pos, v in enumerate(basis_fiber):
                         mapped[pos] = field.add(mapped[pos], field.mul(c, v))
-                if mapped != expected:
+                if mapped != _combination(field, a, images[k], b, images[l]):
                     return False
     return True

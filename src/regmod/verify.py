@@ -267,13 +267,17 @@ def _check_invariance(instance) -> Optional[str]:
 
 
 def _describe_gens_pair(instance) -> str:
-    gens, other = instance[:2]  # the isomorphism property's audit seed is not shown
+    gens, other = instance[:2]
     return render_module_file(gens) + render_module_file(other)
 
 
 def _gen_iso(rng: SplitMix64) -> tuple[GeneratorSet, GeneratorSet, int]:
     gens = random_generator_set(rng, max_atoms=8, max_gens=4, max_ambient=4)
     return gens, recombined_copy(gens, rng, ops=4), rng.next64()
+
+
+def _describe_iso(instance) -> str:
+    return f"{_describe_gens_pair(instance)}audit seed: {instance[2]}"
 
 
 def _check_iso(instance) -> Optional[str]:
@@ -367,7 +371,7 @@ PROPERTIES: tuple[Property, ...] = (
     Property("presentation_invariance", _gen_invariance, _check_invariance,
              _drop_atom, _describe_gens_pair),
     Property("isomorphism_construction", _gen_iso, _check_iso,
-             _drop_atom, _describe_gens_pair),
+             _drop_atom, _describe_iso),
     Property("independence_bound", _gen_independence, _check_independence,
              _no_shrink, _describe_independence),
     Property("homogeneous_pieces_glue", _gen_gens, _check_gluing,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from regmod import (
     oracle_verify_iso,
     passport,
 )
+import regmod.oracle
 from regmod.oracle import RankProfile, _express, _rank
 from regmod.randgen import (
     constant_rank_instance,
@@ -45,6 +48,31 @@ def ctx():
 
 def _with(record, **changes):
     return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
+
+
+# The oracle checks the engine, so it may share the engine's record types but
+# none of its routines; the layers below the engine are shared whole.
+ORACLE_RECORD_IMPORTS = {
+    "boolean_core": {"AtomSet", "Idempotent"},
+    "classification": {"IsoMap", "Passport", "PassportEntry"},
+    "module_space": {"GeneratorSet"},
+}
+ORACLE_SHARED_LAYERS = {"errors", "fields", "rng"}
+ENGINE_ROUTINES = {"echelon", "solve_linear", "fiber_rank", "membership", "regular_eliminate"}
+
+
+def test_oracle_imports_no_engine_routine():
+    tree = ast.parse(Path(regmod.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("regmod") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("regmod")):
+            module = (node.module or "").removeprefix("regmod.")
+            names = {alias.name for alias in node.names}
+            if module not in ORACLE_SHARED_LAYERS:
+                assert names <= ORACLE_RECORD_IMPORTS.get(module, set()), (module, names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in ENGINE_ROUTINES
 
 
 def test_rank_small_matrices(f5):
@@ -150,6 +178,16 @@ def test_verify_rejects_swapped_images(f5, ctx, fixture_gens):
         generator_images=(iso.generator_images[1], iso.generator_images[0]),
     )
     assert not oracle_verify_iso(broken, fixture_gens, fixture_gens)
+
+
+@pytest.mark.parametrize("side", ["source_basis", "target_basis"])
+def test_verify_rejects_a_basis_longer_than_its_rank(fixture_gens, side):
+    # the repeated vector is dependent, so every rank check still passes
+    other = recombined_copy(fixture_gens, SplitMix64(31), ops=8)
+    iso = build_isomorphism(fixture_gens, other)
+    pieces = [_with(pc, **{side: getattr(pc, side) + getattr(pc, side)[:1]}) for pc in iso.pieces]
+    assert oracle_verify_iso(iso, fixture_gens, other)
+    assert not oracle_verify_iso(_with(iso, pieces=pieces), fixture_gens, other)
 
 
 def test_verify_seed_stability(fixture_gens):
