@@ -184,16 +184,22 @@ def test_iso_emit_map_json(fixture_file, capsys):
     assert len(doc["map"]["generator_images"]) == 2
 
 
-def test_iso_emit_map_skipped_on_rank_zero(tmp_path, capsys):
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_iso_emit_map_skipped_on_rank_zero(tmp_path, capsys, as_json):
     doc = json.loads(FIXTURE_DOC)
     doc["generators"] = [[["1", "0", "0"], ["0", "0", "0"]]]
     a = write_doc(tmp_path, "a.json", json.dumps(doc))
     doc["generators"] = [[["3", "0", "0"], ["0", "0", "0"]]]
     b = write_doc(tmp_path, "b.json", json.dumps(doc))
-    assert main(["iso", a, b, "--emit-map"]) == 0
+    assert main(["iso", a, b, "--emit-map"] + ["--json"] * as_json) == 0
     captured = capsys.readouterr()
-    assert captured.out == "ISOMORPHIC\n"
-    assert "rank-0" in captured.err
+    if as_json:  # the document just has no "map" key, and stderr stays empty
+        out = json.loads(captured.out)
+        assert out["isomorphic"] is True and "map" not in out
+        assert captured.err == ""
+    else:
+        assert captured.out == "ISOMORPHIC\n"
+        assert "rank-0" in captured.err
 
 
 def test_iso_negative(tmp_path, fixture_file, capsys):

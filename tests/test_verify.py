@@ -98,7 +98,8 @@ def _shrink_digest(prop: Property) -> str:
 
 
 # sha256 over seeds 0-19 of describe(c) for every shrink candidate c, in order;
-# the two single-module properties draw and describe the same modules, so they share a pin
+# the two single-module properties draw and describe the same modules, and so do
+# the two module-pair properties, so each of those pairs shares a pin
 SHRINK_PINS = {
     "regularity_identities": "5fdbfbe0163e53b98238724f8bfc924facf0de40ebcba74f84c7fa86d9ba988d",
     "support_of_products": "6f031cdce52236427ba3df97765971e6fd15818b6b177a9d253dc2fd7cd4a79e",
@@ -106,7 +107,7 @@ SHRINK_PINS = {
     "step_form_roundtrip": "c3df2f3079da2cd54054abcb2d6f5f9c85ccc5a29fd65f53d5b384d8c1759da0",
     "passport_matches_oracle": "ab5b59158af69ee2efb883aa81225a03b548f10bb977b06ec6ac4b295b3b0ca2",
     "presentation_invariance": "5afa089b8fe28db717001b9ef9fb6c9cb3da897c084b56c0af8e733601794aee",
-    "isomorphism_construction": "c960700beb6dfac26f7d6d7d28387a175775fde27ca5a36c081719dcd7ee55c0",
+    "isomorphism_construction": "5afa089b8fe28db717001b9ef9fb6c9cb3da897c084b56c0af8e733601794aee",
     "homogeneous_pieces_glue": "ab5b59158af69ee2efb883aa81225a03b548f10bb977b06ec6ac4b295b3b0ca2",
 }
 
@@ -116,17 +117,3 @@ def test_shrink_candidates_are_pinned(name):
     prop = next(p for p in PROPERTIES if p.name == name)
     assert _shrink_digest(prop) == SHRINK_PINS[name]
 
-
-def test_isomorphism_shrink_keeps_the_audit_seed():
-    prop = next(p for p in PROPERTIES if p.name == "isomorphism_construction")
-    for seed in range(20):
-        instance = prop.generate(SplitMix64(seed))
-        assert all(c[2] == instance[2] for c in prop.shrink(instance))
-
-
-def test_isomorphism_dump_shows_the_audit_seed():
-    prop = next(p for p in PROPERTIES if p.name == "isomorphism_construction")
-    gens, other, seed = prop.generate(SplitMix64(0))
-    dump = prop.describe((gens, other, seed))
-    assert dump.endswith(f"audit seed: {seed}")
-    assert dump != prop.describe((gens, other, seed + 1))
