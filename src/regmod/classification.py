@@ -13,11 +13,13 @@ passport.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
 from .errors import (
     ContextMismatchError,
+    LengthMismatchError,
     NotInModuleError,
     PassportMismatchError,
     RankMismatchError,
@@ -110,17 +112,19 @@ def regular_eliminate(
 ) -> tuple[list[tuple[Idempotent, int]], EliminationTrace]:
     """Split e into pieces of constant module rank.
 
-    Worklist of (atoms, matrix, rank) states: the region's atom indices in
-    ascending order, and each matrix entry as a list of scalars over those
-    atoms only.  A state whose entries are all zero is a leaf.  Otherwise
-    the pivot a = M[i][j] is the first entry, row-major, with the most
-    nonzeros; it is a unit on its support g.  The residual region, where a
-    vanishes, re-queues with the matrix projected onto it, while on g every
-    other row k becomes row_k − (M[k][j]·a⁻¹)·row_i and the pivot row and
-    column are deleted, with rank credited.  Each push shrinks either the
-    matrix or the region, so the procedure terminates; the leaves partition
-    e and carry the exact per-atom rank.  A step costs time linear in its
-    region, not in the whole atom set, and an atom lies in a number of
+    Worklist of (region, atoms, flat, rows, cols, rank) states: the region,
+    its atom indices in ascending order, and its matrix as one flat list,
+    entry-major, entry (i, j) being flat[(i·cols + j)·n : (i·cols + j + 1)·n]:
+    its scalars over the region's n atoms only.  A state whose entries are all
+    zero is a leaf.  Otherwise the pivot a = M[i][j] is the first entry,
+    row-major, with the most nonzeros; it is a unit on its support g.  The
+    residual region, where a vanishes, re-queues with the matrix projected
+    onto it.  On g every other row k becomes row_k − M[k][j]·(a⁻¹·row_i), the
+    pivot row and column go and rank is credited: one `field.mul_row` call
+    scales the pivot row, one `field.sub_mul` call builds the reduced matrix.
+    Each push shrinks either the matrix or the region, so the procedure
+    terminates; the leaves partition e and carry the exact per-atom rank.  A
+    step costs time linear in its region, and an atom lies in a number of
     regions bounded by the matrix size, so the total grows linearly in d.
     """
     if e.context != gens.context:
@@ -128,42 +132,42 @@ def regular_eliminate(
     if e.is_zero:
         raise ZeroIdempotentError("elimination needs a nonzero starting idempotent")
     field, zero = gens.field, gens.field.zero
-    start = e.atom_indices()
-    work = [(start, [[[c.values[q] for q in start] for c in g.coords] for g in gens.gens], 0)]
+    keep = [e.contains_atom(q) for q in range(len(e.context))]
+    rows, cols = len(gens.gens), gens.ambient_dim
+    values = chain.from_iterable(c.values for g in gens.gens for c in g.coords)
+    work = [(e, e.atom_indices(), list(compress(values, keep * (rows * cols))), rows, cols, 0)]
     leaves: list[tuple[Idempotent, int]] = []
     steps: list[PivotStep] = []
     while work:
-        atoms, matrix, rank = work.pop()
-        region = Idempotent(e.context, sum(1 << q for q in atoms))
-        best, best_count = None, 0
-        for i, row in enumerate(matrix):
-            for j, entry in enumerate(row):
-                count = len(entry) - entry.count(zero)
-                if count > best_count:
-                    best, best_count = (i, j), count
-        if best is None:
+        region, atoms, flat, rows, cols, rank = work.pop()
+        n = len(atoms)
+        nonzeros = [n - flat[s:s + n].count(zero) for s in range(0, len(flat), n)]
+        best = max(nonzeros, default=0)
+        if not best:
             leaves.append((region, rank))
             continue
-        i, j = best
-        pivot, pivot_row = matrix[i][j], matrix[i]
-        cover = [t for t, v in enumerate(pivot) if v != zero]
-        covered = [atoms[t] for t in cover]
-        steps.append(PivotStep(region, i, j, Idempotent(e.context, sum(1 << q for q in covered))))
-        if len(cover) < len(atoms):
-            rest = [t for t, v in enumerate(pivot) if v == zero]
-            projected = [[[entry[t] for t in rest] for entry in row] for row in matrix]
-            work.append(([atoms[t] for t in rest], projected, rank))
-        inverse = [field.inv(pivot[t]) for t in cover]
-        reduced = []
-        for k, row in enumerate(matrix):
-            if k == i:
-                continue
-            factor = [field.mul(row[j][t], h) for t, h in zip(cover, inverse)]
-            reduced.append([
-                [field.sub(entry[t], field.mul(a, p[t])) for t, a in zip(cover, factor)]
-                for c, (entry, p) in enumerate(zip(row, pivot_row)) if c != j
-            ])
-        work.append((covered, reduced, rank + 1))
+        i, j = divmod(nonzeros.index(best), cols)
+        pivot = flat[(i * cols + j) * n:(i * cols + j + 1) * n]
+        support = region
+        if best < n:  # the pivot misses some atoms: split off the residual region
+            hit = [v != zero for v in pivot]
+            miss = [not h for h in hit]
+            rest = list(compress(atoms, miss))
+            atoms, pivot = list(compress(atoms, hit)), list(compress(pivot, hit))
+            support = Idempotent(e.context, sum(1 << q for q in atoms))
+            work.append((Idempotent(e.context, region.mask - support.mask), rest,
+                         list(compress(flat, miss * (rows * cols))), rows, cols, rank))
+            flat, n = list(compress(flat, hit * (rows * cols))), best
+        steps.append(PivotStep(region, i, j, support))
+        inverse = [field.inv(v) for v in pivot]
+        width, left, right = cols * n, j * n, (j + 1) * n
+        others = [flat[k * width:(k + 1) * width] for k in range(rows)]
+        pivot_row = others.pop(i)
+        scaled = field.mul_row(pivot_row[:left] + pivot_row[right:], inverse * (cols - 1))
+        xs = list(chain.from_iterable(row[:left] + row[right:] for row in others))
+        fs = list(chain.from_iterable(row[left:right] * (cols - 1) for row in others))
+        reduced = field.sub_mul(xs, fs, scaled * (rows - 1))
+        work.append((support, atoms, reduced, rows - 1, cols - 1, rank + 1))
     leaves.sort(key=lambda leaf: leaf[0].first_atom_index())
     return leaves, EliminationTrace(e, tuple(steps), tuple(leaves))
 
@@ -318,6 +322,13 @@ class IsoMap(Record):
     partition: PartitionOfUnity
     pieces: tuple[IsoPiece, ...]
     generator_images: tuple[ModuleVector, ...]
+
+    def __post_init__(self):
+        sources = {v.ambient_dim for pc in self.pieces for v in pc.source_basis}
+        targets = {v.ambient_dim for pc in self.pieces for v in pc.target_basis}
+        targets.update(v.ambient_dim for v in self.generator_images)
+        if sources - {self.source_ambient_dim} or targets - {self.target_ambient_dim}:
+            raise LengthMismatchError("a basis vector or image of the wrong ambient dimension")
 
     def apply(self, x: ModuleVector) -> ModuleVector:
         """Image of a source-module member; piecewise change of basis."""

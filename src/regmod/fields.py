@@ -23,6 +23,8 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 _FP_SCALAR = re.compile(r"[0-9]+")
 _RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _QUOTE_LIMIT = 20
+# maps each ASCII digit byte to its value
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _quote(value: object) -> str:
@@ -124,6 +126,16 @@ class PrimeField(Record):
     def neg(self, a: int) -> int:
         return -a % self.p
 
+    def mul_row(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[mul(x, y)] over two aligned rows."""
+        p = self.p
+        return [x * y % p for x, y in zip(xs, ys)]
+
+    def sub_mul(self, xs: Sequence[int], fs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[sub(x, mul(f, y))] over three aligned rows."""
+        p = self.p
+        return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ValidationError("no inverse of 0")
@@ -142,9 +154,11 @@ class PrimeField(Record):
 
     def parse_row(self, texts: Sequence[str]) -> list[int]:
         """[parse(t) for t in texts], as C-level passes that accept exactly ASCII [0-9]+ below p."""
-        if all(map(str.isdigit, texts)) and "".join(texts).isascii():
+        joined = "".join(texts)
+        if all(texts) and joined.isascii() and joined.isdigit():
             try:
-                values = list(map(int, texts))
+                one_digit = len(joined) == len(texts)  # then one pass over the bytes converts all
+                values = list(joined.encode().translate(_DIGITS) if one_digit else map(int, texts))
                 if max(values, default=0) < self.p:
                     return values
             except ValueError:  # more digits than int() converts: far past any p
@@ -188,6 +202,14 @@ class RationalField(Record):
 
     def neg(self, a: Fraction) -> Fraction:
         return -a
+
+    def mul_row(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
+        """[mul(x, y)] over two aligned rows."""
+        return [x * y for x, y in zip(xs, ys)]
+
+    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[Fraction]:
+        """[sub(x, mul(f, y))] over three aligned rows."""
+        return [x - f * y for x, f, y in zip(xs, fs, ys)]
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

@@ -1,0 +1,144 @@
+"""The flat-matrix engine against the nested-list engine it replaced.
+
+`nested_eliminate` is the earlier `regular_eliminate`, kept here verbatim as
+a reference: each matrix entry is its own list of scalars, reduced with one
+`field.sub`/`field.mul` call per scalar.  The flat engine must produce the
+same leaves and the same trace on every input, and make one `mul_row` and
+one `sub_mul` call per pivot step instead.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regmod import (
+    AtomSet,
+    EliminationTrace,
+    GeneratorSet,
+    Idempotent,
+    PivotStep,
+    PrimeField,
+    RationalField,
+    parse_module_file,
+    regular_eliminate,
+)
+from regmod.cli import main
+from regmod.randgen import default_labels, random_vector
+from regmod.rng import SplitMix64
+
+FIELDS = (PrimeField(2), PrimeField(5), PrimeField(97), PrimeField(2**61 - 1), RationalField())
+FIELD_IDS = ("f2", "f5", "f97", "m61", "q")
+
+
+def nested_eliminate(gens: GeneratorSet, e: Idempotent):
+    field, zero = gens.field, gens.field.zero
+    start = e.atom_indices()
+    work = [(start, [[[c.values[q] for q in start] for c in g.coords] for g in gens.gens], 0)]
+    leaves: list[tuple[Idempotent, int]] = []
+    steps: list[PivotStep] = []
+    while work:
+        atoms, matrix, rank = work.pop()
+        region = Idempotent(e.context, sum(1 << q for q in atoms))
+        best, best_count = None, 0
+        for i, row in enumerate(matrix):
+            for j, entry in enumerate(row):
+                count = len(entry) - entry.count(zero)
+                if count > best_count:
+                    best, best_count = (i, j), count
+        if best is None:
+            leaves.append((region, rank))
+            continue
+        i, j = best
+        pivot, pivot_row = matrix[i][j], matrix[i]
+        cover = [t for t, v in enumerate(pivot) if v != zero]
+        covered = [atoms[t] for t in cover]
+        steps.append(PivotStep(region, i, j, Idempotent(e.context, sum(1 << q for q in covered))))
+        if len(cover) < len(atoms):
+            rest = [t for t, v in enumerate(pivot) if v == zero]
+            projected = [[[entry[t] for t in rest] for entry in row] for row in matrix]
+            work.append(([atoms[t] for t in rest], projected, rank))
+        inverse = [field.inv(pivot[t]) for t in cover]
+        reduced = []
+        for k, row in enumerate(matrix):
+            if k == i:
+                continue
+            factor = [field.mul(row[j][t], h) for t, h in zip(cover, inverse)]
+            reduced.append([
+                [field.sub(entry[t], field.mul(a, p[t])) for t, a in zip(cover, factor)]
+                for c, (entry, p) in enumerate(zip(row, pivot_row)) if c != j
+            ])
+        work.append((covered, reduced, rank + 1))
+    leaves.sort(key=lambda leaf: leaf[0].first_atom_index())
+    return leaves, EliminationTrace(e, tuple(steps), tuple(leaves))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.data(),
+)
+def test_flat_engine_equals_nested_engine(field, gens_count, ambient, d, zero_bias, seed, data):
+    rng = SplitMix64(seed)
+    context = AtomSet(default_labels(d))
+    gens = GeneratorSet(field, context, ambient, tuple(
+        random_vector(field, context, ambient, rng, zero_bias) for _ in range(gens_count)))
+    e = Idempotent(context, data.draw(st.integers(min_value=1, max_value=context.full_mask)))
+    leaves, trace = regular_eliminate(gens, e)
+    assert (leaves, trace) == nested_eliminate(gens, e)
+
+
+def _scalars(field):
+    if isinstance(field, PrimeField):
+        return st.one_of(st.just(0), st.integers(min_value=0, max_value=field.p - 1))
+    return st.one_of(st.just(Fraction(0)), st.fractions())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_kernels_equal_per_scalar_ops(field, data):
+    length = data.draw(st.integers(min_value=0, max_value=12))
+    xs, fs, ys = (data.draw(st.lists(_scalars(field), min_size=length, max_size=length))
+                  for _ in range(3))
+    products = field.mul_row(xs, ys)
+    assert products == [field.mul(x, y) for x, y in zip(xs, ys)]
+    updated = field.sub_mul(xs, fs, ys)
+    assert updated == [field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)]
+    for got in (products, updated):
+        assert type(got) is list and {type(v) for v in got} <= {type(field.zero)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_row_kernels_on_empty_rows(field):
+    assert field.mul_row([], []) == []
+    assert field.sub_mul([], [], []) == []
+
+
+def test_engine_makes_one_kernel_call_per_pivot_step(capsys, monkeypatch):
+    assert main(["gen", "--seed", "1", "--atoms", "1024", "--ambient", "8", "--gens", "8",
+                 "--field", "fp:5"]) == 0
+    gens = parse_module_file(capsys.readouterr().out)
+    calls = {"mul_row": 0, "sub_mul": 0, "mul": 0, "sub": 0}
+
+    def counting(name):
+        original = getattr(PrimeField, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(PrimeField, name, counting(name))
+    _, trace = regular_eliminate(gens, gens.context.full())
+    assert len(trace.steps) == 608
+    assert calls == {"mul_row": 608, "sub_mul": 608, "mul": 0, "sub": 0}

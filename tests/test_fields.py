@@ -193,6 +193,26 @@ def test_parse_row_equals_per_scalar_parse(field, data):
         assert got == expected and list(map(type, got)) == list(map(type, expected))
 
 
+# (p, row, values, or the first bad index and its message): one-digit rows
+# take the byte-translation path, the rest the int() path or the fallback
+@pytest.mark.parametrize("p, row, expected", [
+    (5, ["0", "3", "0", "4", "0"], [0, 3, 0, 4, 0]),
+    (2, ["1", "0", "2", "1"], (2, "'2' out of range for modulus 2")),
+    (5, ["1", "٣"], (1, "'٣' is not a decimal integer")),
+    (11, ["3", "10", "0"], [3, 10, 0]),
+    (7, ["05", "6"], [5, 6]),
+], ids=["one_digit_zeros", "f2_out_of_range", "non_ascii_digit", "mixed_widths", "leading_zero"])
+def test_prime_parse_row_edge_cases(p, row, expected):
+    field = PrimeField(p)
+    per_item = _per_item(field.parse, row)
+    if isinstance(expected, tuple):
+        assert per_item[1:] == expected
+        _assert_rejected_alike(field.parse_row, row, *expected)
+    else:
+        got = field.parse_row(row)
+        assert got == per_item[0] == expected and {type(v) for v in got} == {int}
+
+
 @pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

@@ -15,6 +15,7 @@ from regmod import (
     Idempotent,
     IsoMap,
     IsoPiece,
+    LengthMismatchError,
     ModuleVector,
     PartitionOfUnity,
     PrimeField,
@@ -234,6 +235,29 @@ def _one_atom_map(source, target, source_basis, target_basis, images):
 def test_verify_rejects_a_map_that_breaks_one_check(source, target, source_basis, target_basis, images):
     assert not oracle_verify_iso(*_one_atom_map(source, target, source_basis, target_basis, images))
     assert oracle_verify_iso(*_one_atom_map(source, source, source, source, source))  # the identity
+
+
+@pytest.mark.parametrize("side", ["source_basis", "target_basis", "generator_images"])
+def test_iso_map_rejects_vectors_of_the_wrong_ambient_dimension(side):
+    # the oracle's _express reads only as many coordinates as the generator
+    # fibers have, so it accepted a source basis with an extra coordinate
+    f5, atoms = PrimeField(5), AtomSet(("q1",))
+    units = tuple(ModuleVector.unit(f5, atoms, 2, position) for position in (0, 1))
+    gens = GeneratorSet(f5, atoms, 2, units)
+    iso = build_isomorphism(gens, gens)
+    one = AlgebraElement.one(f5, atoms)
+
+    def longer(vectors):
+        return tuple(ModuleVector(v.coords + (one,)) for v in vectors)
+
+    if side == "generator_images":
+        with pytest.raises(LengthMismatchError):
+            _with(iso, generator_images=longer(iso.generator_images))
+    else:
+        pieces = [_with(pc, **{side: longer(getattr(pc, side))}) for pc in iso.pieces]
+        with pytest.raises(LengthMismatchError):
+            _with(iso, pieces=pieces)
+    assert oracle_verify_iso(iso, gens, gens)
 
 
 @settings(max_examples=30, deadline=None)

@@ -111,7 +111,7 @@ CASES = [
             "pieces", "generator_images",
         ),
         (F5, CTX, 1, 1, PART, (PIECE,), (V,)),
-        (3, 2),
+        (6, (V, V)),
         f"IsoMap(field={R_F5}, context={R_CTX}, source_ambient_dim=1, target_ambient_dim=1, "
         f"partition={R_PART}, pieces=({R_PIECE},), generator_images=({R_V},))",
     ),
