@@ -251,7 +251,7 @@ def extract_basis(
     last = len(gens) - 1
     selection: dict[int, Sequence[int]] = {}
     for q in piece.atom_indices():
-        columns = gens.fiber_columns(q)
+        columns = gens.fiber_columns(q) if gens.gens else []  # n x 0: no pivots
         if strategy == "last_fit":
             columns = [row[::-1] for row in columns]
         _, pivots = echelon(columns, gens.field)
@@ -379,8 +379,9 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
         raise ContextMismatchError("presentations over different algebras")
     field, context = gens.field, gens.context
     d = len(context)
-    source = [echelon(gens.fiber_columns(q), field) for q in range(d)]
-    target = [echelon(other.fiber_columns(q), field)[1] for q in range(d)]
+    # an n x 0 matrix has no pivots, so a side without generators builds none
+    source = [echelon(gens.fiber_columns(q) if gens.gens else [], field) for q in range(d)]
+    target = [echelon(other.fiber_columns(q) if other.gens else [], field)[1] for q in range(d)]
     ranks = [len(pivots) for _, pivots in source]
     if ranks != [len(pivots) for pivots in target]:
         raise PassportMismatchError("passports differ; modules are not isomorphic")

@@ -297,6 +297,8 @@ def independence_test(gens: GeneratorSet, e: Idempotent) -> IndependenceResult:
         raise ContextMismatchError("idempotent over a different atom set")
     if e.is_zero:
         raise ZeroIdempotentError("independence is tested on a nonzero idempotent")
+    if not gens.gens:  # the empty family; its n x 0 fiber matrices need not be built
+        return IndependenceResult(True, None, None)
     for q in e.atom_indices():
         relation = kernel_sample(gens.fiber_columns(q), gens.field)
         if relation is not None:

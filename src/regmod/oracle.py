@@ -10,7 +10,7 @@ is echelon's, not the engine's support-coverage maximization.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .boolean_core import AtomSet, Idempotent
 from .classification import IsoMap, Passport, PassportEntry
@@ -61,23 +61,6 @@ def _rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
     return len(_reduce(work, len(work[0]) if work else 0, field))
 
 
-def _express(
-    basis_fibers: Sequence[Sequence[Scalar]], target: Sequence[Scalar], field: Field
-) -> Optional[list[Scalar]]:
-    """Coefficients writing target as a combination of basis fibers, or None."""
-    n = len(target)
-    m = len(basis_fibers)
-    work = [[basis_fibers[k][l] for k in range(m)] + [target[l]] for l in range(n)]
-    pivots = _reduce(work, m, field)
-    for r in range(len(pivots), n):
-        if work[r][m] != field.zero:
-            return None
-    coeffs = [field.zero] * m
-    for r, col in enumerate(pivots):
-        coeffs[col] = work[r][m]
-    return coeffs
-
-
 def atom_rank_profile(gens: GeneratorSet) -> RankProfile:
     """Per-atom rank of the generator fiber matrix, classically computed."""
     ranks = {
@@ -102,20 +85,26 @@ def oracle_passport(gens: GeneratorSet) -> Passport:
 
 
 def oracle_verify_iso(iso: IsoMap, gens: GeneratorSet, other: GeneratorSet) -> bool:
-    """Fiberwise audit of a claimed isomorphism, exact at every atom.
+    """Fiberwise audit of a claimed isomorphism: five rank equalities per atom.
 
     The pieces must cover every atom, with bases of exactly `rank` vectors.
-    At an atom of a piece of rank r, the generator, target, target-plus-image
-    and target-basis fibers must each have rank r, and every generator fiber
-    must be a combination of the source-basis fibers whose coefficients give
-    exactly its image on the target-basis fibers.  That implies the ranks of
-    the images, of the paired fibers and of the source basis:
+    At an atom of a piece of rank r, let G and H be the source and target
+    generator fibers, I the claimed images, B and T the source and target
+    basis fibers, [B|T] each basis vector's source fiber joined to its
+    target fiber, and [G|I] each generator fiber joined to its image.  Then
 
-    - the generator fibers lie in the span of the r source-basis fibers and
-      have rank r, so that basis is independent and spans them;
-    - the target basis has rank r, so the basis-to-basis map is injective;
-      the images have rank r, lie in the target span, and that span has
-      rank r, so they span it.
+        rank G = rank H = rank(H ∪ I) = rank T = rank([B|T] ∪ [G|I]) = r.
+
+    Given the first four, the fifth holds exactly when every generator fiber
+    is a combination of B whose coefficients give exactly its image on T:
+    rank T = r makes the r rows of [B|T] independent, so the fifth says that
+    every row of [G|I] is a combination of them.  Then G lies in the span of
+    the r fibers of B and has rank r, so B is independent and the
+    coefficients are unique: the check is the same as expressing each
+    generator fiber in B and mapping its coefficients onto T.  That makes
+    the map well defined; it is injective because T has rank r, and onto
+    the target span because the images have rank r and lie in the span of
+    H, which has rank r.
     """
     if not gens.same_algebra(other):
         raise ContextMismatchError("presentations over different algebras")
@@ -141,18 +130,10 @@ def oracle_verify_iso(iso: IsoMap, gens: GeneratorSet, other: GeneratorSet) -> b
         source = gens.fiber_matrix(q)
         images = [list(img.fiber(q)) for img in iso.generator_images]
         target = other.fiber_matrix(q)
-        src_basis_fibers = [list(b.fiber(q)) for b in pc.source_basis]
         tgt_basis_fibers = [list(b.fiber(q)) for b in pc.target_basis]
-        spans = (source, target, list(target) + images, tgt_basis_fibers)
+        paired = [list(b.fiber(q)) + t for b, t in zip(pc.source_basis, tgt_basis_fibers)]
+        paired += [g + i for g, i in zip(source, images)]
+        spans = (source, target, target + images, tgt_basis_fibers, paired)
         if any(_rank(rows, field) != pc.rank for rows in spans):
             return False  # the third fails when an image escapes the target span
-        for fiber, image in zip(source, images):
-            coeffs = _express(src_basis_fibers, fiber, field)
-            if coeffs is None:
-                return False
-            mapped = [field.zero] * other.ambient_dim
-            for c, basis_fiber in zip(coeffs, tgt_basis_fibers):
-                mapped = [field.add(m, field.mul(c, v)) for m, v in zip(mapped, basis_fiber, strict=True)]
-            if mapped != image:
-                return False
     return True

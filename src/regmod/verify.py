@@ -42,6 +42,9 @@ from .randgen import (
 from .regular_algebra import AlgebraElement, mix_scalars
 from .rng import SplitMix64
 
+CONTEXT_MAX_ATOMS = 6  # atoms in a context drawn by _random_context
+SHRINK_BUDGET = 200  # shrink candidates tried per failing case
+
 
 class Property(Record):
     name: str
@@ -102,9 +105,9 @@ def _no_shrink(_instance: Any) -> Iterable[Any]:
     return ()
 
 
-def _random_context(rng: SplitMix64, max_atoms: int = 6) -> tuple[Field, AtomSet]:
+def _random_context(rng: SplitMix64) -> tuple[Field, AtomSet]:
     field = random_field(rng)
-    d = 1 + rng.below(max_atoms)
+    d = 1 + rng.below(CONTEXT_MAX_ATOMS)
     return field, AtomSet(tuple(f"q{i + 1}" for i in range(d)))
 
 
@@ -378,8 +381,8 @@ def _checked(prop: Property, instance: Any) -> Optional[str]:
         return f"exception: {exc!r}"
 
 
-def _minimize(prop: Property, instance: Any, message: str, budget: int = 200) -> tuple[Any, str]:
-    improved = True
+def _minimize(prop: Property, instance: Any, message: str) -> tuple[Any, str]:
+    budget, improved = SHRINK_BUDGET, True
     while improved and budget > 0:
         improved = False
         for candidate in prop.shrink(instance):

@@ -127,6 +127,25 @@ def test_passport_empty_generators(f5, ctx):
     assert not pp.faithful
 
 
+def test_no_generators_builds_no_fiber_matrix(f5, ctx, monkeypatch):
+    # an ambient_dim x 0 matrix has no pivots, and building one per atom
+    # takes memory in proportion to ambient_dim
+    def refuse(self, atom_index):
+        raise AssertionError("fiber matrix built for a presentation without generators")
+
+    empty = GeneratorSet(f5, ctx, 4, ())
+    monkeypatch.setattr(GeneratorSet, "fiber_columns", refuse)
+    for strategy in ("first_fit", "last_fit"):
+        assert extract_basis(empty, ctx.full(), 0, strategy) == []
+    with pytest.raises(RankMismatchError):
+        extract_basis(empty, ctx.full(), 1)
+    assert independence_test(empty, ctx.full())
+    iso = build_isomorphism(empty, empty)
+    assert [(pc.piece, pc.rank) for pc in iso.pieces] == [(ctx.full(), 0)]
+    assert iso.generator_images == ()
+    assert oracle_verify_iso(iso, empty, empty)
+
+
 def test_passport_standard_basis(f5, ctx):
     pp = passport(standard_basis(f5, ctx, 3))
     assert [(e.piece.render(), e.rank) for e in pp.entries] == [("{q1,q2,q3}", 3)]

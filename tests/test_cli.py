@@ -257,6 +257,29 @@ def test_basis_unknown_label(fixture_file, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag, expected", [
+    ([], "rank=0\n"),
+    (["--json"], '{\n  "homogeneous": true,\n  "piece": [\n    "q1"\n  ],\n  "rank": 0,\n  "basis": []\n}\n'),
+])
+def test_basis_without_generators_in_a_huge_ambient_space(tmp_path, json_flag, expected):
+    # with no generators every fiber matrix is ambient_dim x 0 and has no pivots;
+    # building one runs out of memory, and a MemoryError exits 1, "not homogeneous".
+    # The child runs under a 1 GiB address-space cap, so it cannot exhaust the machine.
+    resource = pytest.importorskip("resource")
+    doc = {"field": {"kind": "fp", "p": 5}, "atoms": ["q1", "q2"], "ambient_dim": 10**12, "generators": []}
+    path = write_doc(tmp_path, "wide.json", json.dumps(doc))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "regmod.cli", "basis", path, "--piece", "q1", *json_flag],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        env={"PYTHONPATH": str(Path(regmod.__file__).resolve().parents[1])},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, expected, "")
+
+
 def test_member_yes(tmp_path, fixture_file, capsys):
     doc = json.loads(FIXTURE_DOC)
     # 2*g1 + 3*g2 fiberwise

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from regmod import (
     AlgebraElement,
     AtomSet,
+    ContextMismatchError,
     GeneratorSet,
     Idempotent,
     IsoMap,
@@ -28,12 +30,14 @@ from regmod import (
     passport,
 )
 import regmod.oracle
-from regmod.oracle import RankProfile, _express, _rank
+from regmod.fields import Field, Scalar
+from regmod.oracle import RankProfile, _rank, _reduce
 from regmod.randgen import (
     constant_rank_instance,
     random_generator_set,
     random_scalar,
     random_unit,
+    random_vector,
     recombined_copy,
 )
 from regmod.rng import SplitMix64
@@ -51,6 +55,84 @@ def ctx():
 
 def _with(record, **changes):
     return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
+
+
+# The oracle's audit before it became five rank equalities per atom, kept
+# verbatim as the reference its verdicts must match: it writes every
+# generator fiber in the source basis with `_express`, one solve per
+# generator and atom, and maps the coefficients onto the target basis.
+def _express(
+    basis_fibers: Sequence[Sequence[Scalar]], target: Sequence[Scalar], field: Field
+) -> Optional[list[Scalar]]:
+    """Coefficients writing target as a combination of basis fibers, or None."""
+    n = len(target)
+    m = len(basis_fibers)
+    work = [[basis_fibers[k][l] for k in range(m)] + [target[l]] for l in range(n)]
+    pivots = _reduce(work, m, field)
+    for r in range(len(pivots), n):
+        if work[r][m] != field.zero:
+            return None
+    coeffs = [field.zero] * m
+    for r, col in enumerate(pivots):
+        coeffs[col] = work[r][m]
+    return coeffs
+
+
+def express_and_map_verify_iso(iso: IsoMap, gens: GeneratorSet, other: GeneratorSet) -> bool:
+    """Fiberwise audit of a claimed isomorphism, exact at every atom.
+
+    The pieces must cover every atom, with bases of exactly `rank` vectors.
+    At an atom of a piece of rank r, the generator, target, target-plus-image
+    and target-basis fibers must each have rank r, and every generator fiber
+    must be a combination of the source-basis fibers whose coefficients give
+    exactly its image on the target-basis fibers.  That implies the ranks of
+    the images, of the paired fibers and of the source basis:
+
+    - the generator fibers lie in the span of the r source-basis fibers and
+      have rank r, so that basis is independent and spans them;
+    - the target basis has rank r, so the basis-to-basis map is injective;
+      the images have rank r, lie in the target span, and that span has
+      rank r, so they span it.
+    """
+    if not gens.same_algebra(other):
+        raise ContextMismatchError("presentations over different algebras")
+    if iso.context != gens.context or iso.field != gens.field:
+        raise ContextMismatchError("map over a different algebra")
+    if (
+        iso.source_ambient_dim != gens.ambient_dim
+        or iso.target_ambient_dim != other.ambient_dim
+        or len(iso.generator_images) != len(gens.gens)
+    ):
+        return False
+    field = gens.field
+    piece_at: dict[int, object] = {}
+    for pc in iso.pieces:
+        if len(pc.source_basis) != pc.rank or len(pc.target_basis) != pc.rank:
+            return False  # a surplus dependent vector would pass the rank checks
+        for q in pc.piece.atom_indices():
+            piece_at[q] = pc
+    if set(piece_at) != set(range(len(gens.context))):
+        return False
+    for q in range(len(gens.context)):
+        pc = piece_at[q]
+        source = gens.fiber_matrix(q)
+        images = [list(img.fiber(q)) for img in iso.generator_images]
+        target = other.fiber_matrix(q)
+        src_basis_fibers = [list(b.fiber(q)) for b in pc.source_basis]
+        tgt_basis_fibers = [list(b.fiber(q)) for b in pc.target_basis]
+        spans = (source, target, list(target) + images, tgt_basis_fibers)
+        if any(_rank(rows, field) != pc.rank for rows in spans):
+            return False  # the third fails when an image escapes the target span
+        for fiber, image in zip(source, images):
+            coeffs = _express(src_basis_fibers, fiber, field)
+            if coeffs is None:
+                return False
+            mapped = [field.zero] * other.ambient_dim
+            for c, basis_fiber in zip(coeffs, tgt_basis_fibers):
+                mapped = [field.add(m, field.mul(c, v)) for m, v in zip(mapped, basis_fiber, strict=True)]
+            if mapped != image:
+                return False
+    return True
 
 
 # The oracle checks the engine, so it may share the engine's record types but
@@ -378,3 +460,40 @@ def test_verify_probes_reject_images_scaled_by_a_unit(field):
         scaled = _with(iso, generator_images=[img.scale(u) for img in iso.generator_images])
         assert oracle_verify_iso(iso, gens, other)
         assert not oracle_verify_iso(scaled, gens, other)
+
+
+def _broken_variants(iso: IsoMap, rng: SplitMix64) -> dict[str, IsoMap]:
+    """Six ways to break a genuine map; on small fields some still hold."""
+    field, ctx, dim = iso.field, iso.context, iso.target_ambient_dim
+    images = iso.generator_images
+    bumped = list(images)
+    if bumped:
+        at = Idempotent(ctx, 1 << rng.below(len(ctx)))
+        bumped[0] = bumped[0] + ModuleVector.unit(field, ctx, dim, rng.below(dim)).restrict(at)
+    u = random_unit(field, ctx, rng)
+    random_bases = []
+    for pc in iso.pieces:
+        side = ("source_basis", "target_basis")[rng.below(2)]
+        width = iso.source_ambient_dim if side == "source_basis" else dim
+        fresh = tuple(random_vector(field, ctx, width, rng) for _ in getattr(pc, side))
+        random_bases.append(_with(pc, **{side: fresh}))
+    return {
+        "bumped_image": _with(iso, generator_images=bumped),
+        "unit_scaled_images": _with(iso, generator_images=[img.scale(u) for img in images]),
+        "random_basis_vectors": _with(iso, pieces=random_bases),
+        "reversed_images": _with(iso, generator_images=images[::-1]),
+        "dropped_piece": _with(iso, pieces=iso.pieces[1:]),
+        "random_images": _with(
+            iso, generator_images=[random_vector(field, ctx, dim, rng) for _ in images]
+        ),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PIN_FIELDS), st.integers(min_value=0, max_value=2**63 - 1))
+def test_five_rank_audit_agrees_with_express_and_map(field, seed):
+    rng, gens, other, iso = _recombined_iso(seed, field)
+    assert oracle_verify_iso(iso, gens, other) and express_and_map_verify_iso(iso, gens, other)
+    for name, variant in _broken_variants(iso, rng).items():
+        verdict = express_and_map_verify_iso(variant, gens, other)
+        assert oracle_verify_iso(variant, gens, other) == verdict, name
