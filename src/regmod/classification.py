@@ -14,6 +14,7 @@ passport.
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import not_
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
@@ -113,15 +114,18 @@ def regular_eliminate(
     """Split e into pieces of constant module rank.
 
     Worklist of (region, atoms, flat, rows, cols, rank) states: the region,
-    its atom indices in ascending order, and its matrix as one flat list,
+    its atom indices in ascending order, and its matrix as one flat row of the
+    field's `row_type` (a list of scalars, or bytes for small prime fields),
     entry-major, entry (i, j) being flat[(i·cols + j)·n : (i·cols + j + 1)·n]:
     its scalars over the region's n atoms only.  A state whose entries are all
     zero is a leaf.  Otherwise the pivot a = M[i][j] is the first entry,
     row-major, with the most nonzeros; it is a unit on its support g.  The
     residual region, where a vanishes, re-queues with the matrix projected
-    onto it.  On g every other row k becomes row_k − M[k][j]·(a⁻¹·row_i), the
-    pivot row and column go and rank is credited: one `field.mul_row` call
-    scales the pivot row, one `field.sub_mul` call builds the reduced matrix.
+    onto it (`field.split_row`).  On g every other row k becomes
+    row_k − M[k][j]·(a⁻¹·row_i), the pivot row and column go and rank is
+    credited: one `field.mul_row` call scales the pivot row, one
+    `field.sub_mul` call builds the reduced matrix.  Only the zero pattern of
+    a scalar is read here; the field's row methods do all arithmetic.
     Each push shrinks either the matrix or the region, so the procedure
     terminates; the leaves partition e and carry the exact per-atom rank.  A
     step costs time linear in its region, and an atom lies in a number of
@@ -135,7 +139,8 @@ def regular_eliminate(
     keep = [e.contains_atom(q) for q in range(len(e.context))]
     rows, cols = len(gens.gens), gens.ambient_dim
     values = chain.from_iterable(c.values for g in gens.gens for c in g.coords)
-    work = [(e, e.atom_indices(), list(compress(values, keep * (rows * cols))), rows, cols, 0)]
+    flat = field.row_type(compress(values, keep * (rows * cols)))
+    work = [(e, e.atom_indices(), flat, rows, cols, 0)]
     leaves: list[tuple[Idempotent, int]] = []
     steps: list[PivotStep] = []
     while work:
@@ -150,22 +155,22 @@ def regular_eliminate(
         pivot = flat[(i * cols + j) * n:(i * cols + j + 1) * n]
         support = region
         if best < n:  # the pivot misses some atoms: split off the residual region
-            hit = [v != zero for v in pivot]
-            miss = [not h for h in hit]
-            rest = list(compress(atoms, miss))
-            atoms, pivot = list(compress(atoms, hit)), list(compress(pivot, hit))
+            rest = list(compress(atoms, map(not_, pivot)))  # scalars are falsy exactly when zero
+            atoms = list(compress(atoms, pivot))
             support = Idempotent(e.context, sum(1 << q for q in atoms))
+            flat, residual = field.split_row(flat, pivot)
             work.append((Idempotent(e.context, region.mask - support.mask), rest,
-                         list(compress(flat, miss * (rows * cols))), rows, cols, rank))
-            flat, n = list(compress(flat, hit * (rows * cols))), best
+                         residual, rows, cols, rank))
+            n = best
+            pivot = flat[(i * cols + j) * n:(i * cols + j + 1) * n]
         steps.append(PivotStep(region, i, j, support))
-        inverse = [field.inv(v) for v in pivot]
+        inverse = field.inv_row(pivot)
         width, left, right = cols * n, j * n, (j + 1) * n
         others = [flat[k * width:(k + 1) * width] for k in range(rows)]
         pivot_row = others.pop(i)
         scaled = field.mul_row(pivot_row[:left] + pivot_row[right:], inverse * (cols - 1))
-        xs = list(chain.from_iterable(row[:left] + row[right:] for row in others))
-        fs = list(chain.from_iterable(row[left:right] * (cols - 1) for row in others))
+        xs = field.join_rows(row[:left] + row[right:] for row in others)
+        fs = field.join_rows(row[left:right] * (cols - 1) for row in others)
         reduced = field.sub_mul(xs, fs, scaled * (rows - 1))
         work.append((support, atoms, reduced, rows - 1, cols - 1, rank + 1))
     leaves.sort(key=lambda leaf: leaf[0].first_atom_index())

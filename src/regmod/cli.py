@@ -319,6 +319,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RegmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a traceback would exit 1, which reads as "no"
+        print(f"error: internal error: {type(exc).__name__}: {_quote(str(exc))}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -66,8 +66,12 @@ class _RecordType(type):
                   if annotations[f].startswith("tuple[")}
         sets = "".join(f"_set(self, {field!r}, {tuples.get(field, field)}); " for field in fields)
         post = "self.__post_init__()" if "__post_init__" in namespace else "pass"
-        init = f"def __init__(self, {', '.join(fields)}): {sets}{post}"
-        exec(init, {"_set": object.__setattr__}, namespace)
+        params = ", ".join(fields)
+        init = f"def __init__(self, {params}): {sets}{post}"
+        raw_sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
+        raw = f"def _raw(cls, {params}): self = _new(cls); {raw_sets}return self"
+        exec(f"{init}\n{raw}", {"_set": object.__setattr__, "_new": object.__new__}, namespace)
+        namespace["_raw"] = classmethod(namespace["_raw"])
         return super().__new__(mcls, name, bases, namespace)
 
 
@@ -77,6 +81,9 @@ class Record(metaclass=_RecordType):
     __init__ takes the fields by position or keyword, stores any iterable
     given for a tuple[...] field as a tuple, then runs the class's own
     __post_init__, if any.  Equality and hash go by the field values.
+    The classmethod _raw takes the same fields, already in their stored form
+    (tuples as tuples), and sets them unchecked: it is for callers that have
+    validated every field themselves.
     """
 
     def __eq__(self, other):

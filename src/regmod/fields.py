@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from functools import lru_cache
+from itertools import chain, compress
+from operator import not_
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import Record, ValidationError
 
 Scalar = Union[int, Fraction]
+Row = Union[bytes, list]  # a row of the elimination engine: see PrimeField.row_type
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all thirteen witnesses above
@@ -25,6 +29,9 @@ _RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _QUOTE_LIMIT = 20
 # maps each ASCII digit byte to its value
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+# translate() tables that put 0xFF where a byte row has a zero, or where it has a nonzero
+_FF_AT_ZERO = b"\xff" + bytes(255)
+_FF_AT_NONZERO = bytes(1) + b"\xff" * 255
 
 
 def _quote(value: object) -> str:
@@ -54,6 +61,38 @@ def _check_by(check: Callable, deciders: Iterable, values: Sequence) -> None:
             check(v)
     except ValidationError:
         _each(check, values)
+
+
+def _join_lists(parts: Iterable[list]) -> list:
+    return list(chain.from_iterable(parts))
+
+
+def _split_list(flat: list, pivot: list) -> tuple[list, list]:
+    # scalars are falsy exactly when zero, so the pivot itself selects its nonzeros
+    reps = len(flat) // len(pivot)
+    return (list(compress(flat, pivot * reps)),
+            list(compress(flat, list(map(not_, pivot)) * reps)))
+
+
+class _ByteTables(NamedTuple):
+    """translate() tables for F_p rows held one canonical residue per byte."""
+
+    product: bytes  # x·p + y → x·y mod p
+    negated_product: bytes  # x·p + y → −x·y mod p
+    residue: bytes  # k → k mod p
+    inverse: bytes  # a → a⁻¹ mod p, and 0 → 0
+
+
+@lru_cache(maxsize=None)  # called only for the six primes with p² ≤ 256
+def _byte_tables(p: int) -> _ByteTables:
+    products = [x * y % p for x in range(p) for y in range(p)]  # at index x·p + y
+    pad = bytes(256 - p * p)
+    return _ByteTables(
+        bytes(products) + pad,
+        bytes(-v % p for v in products) + pad,
+        bytes(k % p for k in range(256)),
+        bytes([0] + [pow(a, -1, p) for a in range(1, p)]) + bytes(256 - p),
+    )
 
 
 def is_prime(n: int) -> bool:
@@ -126,15 +165,59 @@ class PrimeField(Record):
     def neg(self, a: int) -> int:
         return -a % self.p
 
-    def mul_row(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    # Row kernels: the elimination engine's rows are sequences of residues of
+    # `row_type`.  For p² ≤ 256 that is bytes, one residue per byte: then x·p + y
+    # and x + (−f·y mod p) stay below 256, so big-int arithmetic on a whole row
+    # never carries between bytes, and a 256-byte translate() table reduces
+    # every byte at once.  Larger p keep lists of ints.
+
+    @property
+    def row_type(self) -> type:
+        """bytes when p² ≤ 256, else list."""
+        return bytes if self.p * self.p <= 256 else list
+
+    def join_rows(self, parts: Iterable[Row]) -> Row:
+        """The concatenation of rows."""
+        return b"".join(parts) if self.row_type is bytes else _join_lists(parts)
+
+    def split_row(self, flat: Row, pivot: Row) -> tuple[Row, Row]:
+        """(flat where pivot ≠ 0, flat where pivot = 0), flat being entries of len(pivot) ≥ 1."""
+        if self.row_type is not bytes:
+            return _split_list(flat, pivot)
+        reps, size = len(flat) // len(pivot), len(flat)
+        value = int.from_bytes(flat, "little")
+        # residues are below 0xFF: OR-ing 0xFF into the unwanted bytes marks them for deletion
+        return tuple(
+            (value | int.from_bytes(pivot.translate(mask) * reps, "little"))
+            .to_bytes(size, "little").translate(None, b"\xff")
+            for mask in (_FF_AT_ZERO, _FF_AT_NONZERO))
+
+    def inv_row(self, row: Row) -> Row:
+        """[inv(a)] over a row."""
+        if self.row_type is not bytes:
+            return [self.inv(a) for a in row]
+        if 0 in row:
+            raise ValidationError("no inverse of 0")
+        return row.translate(_byte_tables(self.p).inverse)
+
+    def mul_row(self, xs: Row, ys: Row) -> Row:
         """[mul(x, y)] over two aligned rows."""
         p = self.p
-        return [x * y % p for x, y in zip(xs, ys)]
+        if self.row_type is not bytes:
+            return [x * y % p for x, y in zip(xs, ys)]
+        packed = int.from_bytes(xs, "little") * p + int.from_bytes(ys, "little")
+        return packed.to_bytes(len(xs), "little").translate(_byte_tables(p).product)
 
-    def sub_mul(self, xs: Sequence[int], fs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    def sub_mul(self, xs: Row, fs: Row, ys: Row) -> Row:
         """[sub(x, mul(f, y))] over three aligned rows."""
         p = self.p
-        return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
+        if self.row_type is not bytes:
+            return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
+        size, tables = len(xs), _byte_tables(p)
+        packed = int.from_bytes(fs, "little") * p + int.from_bytes(ys, "little")
+        negated = packed.to_bytes(size, "little").translate(tables.negated_product)
+        total = int.from_bytes(xs, "little") + int.from_bytes(negated, "little")
+        return total.to_bytes(size, "little").translate(tables.residue)
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -202,6 +285,21 @@ class RationalField(Record):
 
     def neg(self, a: Fraction) -> Fraction:
         return -a
+
+    # Row kernels (see PrimeField): rows are lists of Fractions.
+    row_type = list
+
+    def join_rows(self, parts: Iterable[list]) -> list[Fraction]:
+        """The concatenation of rows."""
+        return _join_lists(parts)
+
+    def split_row(self, flat: list, pivot: list) -> tuple[list, list]:
+        """(flat where pivot ≠ 0, flat where pivot = 0), flat being entries of len(pivot) ≥ 1."""
+        return _split_list(flat, pivot)
+
+    def inv_row(self, row: Sequence[Fraction]) -> list[Fraction]:
+        """[inv(a)] over a row."""
+        return [self.inv(a) for a in row]
 
     def mul_row(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
         """[mul(x, y)] over two aligned rows."""

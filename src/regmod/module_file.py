@@ -106,7 +106,8 @@ def parse_module_file(text: str) -> GeneratorSet:
                 values = field.parse_row(row)
             except ValidationError as exc:
                 raise ValidationError(f"generators[{i}][{j}][{exc.index}]: {exc}") from exc
-            coords.append(AlgebraElement(field, context, tuple(values)))
+            # parse_row returned canonical scalars and the length is checked above
+            coords.append(AlgebraElement._raw(field, context, tuple(values)))
         vectors.append(ModuleVector(tuple(coords)))
     return GeneratorSet(field, context, ambient, tuple(vectors))
 

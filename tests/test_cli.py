@@ -146,6 +146,19 @@ def test_passport_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [RuntimeError("boom\n" + "x" * 5000), MemoryError()])
+def test_unexpected_exception_exits_2(fixture_file, capsys, monkeypatch, error):
+    def failing(gens):
+        raise error
+
+    monkeypatch.setattr("regmod.cli.passport", failing)
+    assert main(["passport", fixture_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: internal error: {type(error).__name__}: ")
+    assert "Traceback" not in err and err.count("\n") == 1 and len(err) < 200
+
+
 def test_passport_malformed_json(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json", "{broken")
     assert main(["passport", path]) == 2

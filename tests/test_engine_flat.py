@@ -23,6 +23,7 @@ from regmod import (
     PivotStep,
     PrimeField,
     RationalField,
+    ValidationError,
     parse_module_file,
     regular_eliminate,
 )
@@ -30,8 +31,9 @@ from regmod.cli import main
 from regmod.randgen import default_labels, random_vector
 from regmod.rng import SplitMix64
 
-FIELDS = (PrimeField(2), PrimeField(5), PrimeField(97), PrimeField(2**61 - 1), RationalField())
-FIELD_IDS = ("f2", "f5", "f97", "m61", "q")
+# F_2 to F_13 keep byte rows (p² ≤ 256); F_17 and up, and ℚ, keep list rows
+FIELDS = tuple(PrimeField(p) for p in (2, 3, 5, 7, 11, 13, 17, 97, 2**61 - 1)) + (RationalField(),)
+FIELD_IDS = ("f2", "f3", "f5", "f7", "f11", "f13", "f17", "f97", "m61", "q")
 
 
 def nested_eliminate(gens: GeneratorSet, e: Idempotent):
@@ -102,25 +104,56 @@ def _scalars(field):
     return st.one_of(st.just(Fraction(0)), st.fractions())
 
 
+def _pivots(field):
+    """Pivot rows of width 1 to 5: arbitrary, all zero, or with no zero."""
+    nonzero = _scalars(field).filter(lambda v: v != field.zero)
+    return st.one_of(st.lists(_scalars(field), min_size=1, max_size=5),
+                     st.integers(min_value=1, max_value=5).map(lambda w: [field.zero] * w),
+                     st.lists(nonzero, min_size=1, max_size=5))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_row_kernels_equal_per_scalar_ops(field, data):
+    row, zero = field.row_type, field.zero
+    assert row is (bytes if isinstance(field, PrimeField) and field.p <= 13 else list)
     length = data.draw(st.integers(min_value=0, max_value=12))
     xs, fs, ys = (data.draw(st.lists(_scalars(field), min_size=length, max_size=length))
                   for _ in range(3))
-    products = field.mul_row(xs, ys)
-    assert products == [field.mul(x, y) for x, y in zip(xs, ys)]
-    updated = field.sub_mul(xs, fs, ys)
-    assert updated == [field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)]
-    for got in (products, updated):
-        assert type(got) is list and {type(v) for v in got} <= {type(field.zero)}
+    assert list(row(xs)) == xs
+    products = field.mul_row(row(xs), row(ys))
+    assert products == row([field.mul(x, y) for x, y in zip(xs, ys)])
+    updated = field.sub_mul(row(xs), row(fs), row(ys))
+    assert updated == row([field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)])
+    cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=length), max_size=3)))
+    parts = [row(xs[a:b]) for a, b in zip([0] + cuts, cuts + [length])]
+    joined = field.join_rows(parts)
+    assert joined == row(xs)
+    units = [y for y in ys if y != zero]
+    inverse = field.inv_row(row(units))
+    assert inverse == row([field.inv(y) for y in units])
+    if len(units) < length:
+        with pytest.raises(ValidationError):
+            field.inv_row(row(ys))
+    pivot = data.draw(_pivots(field))
+    flat = data.draw(st.lists(_scalars(field), max_size=4 * len(pivot)))
+    flat = flat[:len(flat) - len(flat) % len(pivot)]  # whole entries only
+    hit, miss = field.split_row(row(flat), row(pivot))
+    assert hit == row([v for t, v in enumerate(flat) if pivot[t % len(pivot)] != zero])
+    assert miss == row([v for t, v in enumerate(flat) if pivot[t % len(pivot)] == zero])
+    for got in (products, updated, joined, inverse, hit, miss):
+        assert type(got) is row and {type(v) for v in got} <= {type(zero)}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_row_kernels_on_empty_rows(field):
-    assert field.mul_row([], []) == []
-    assert field.sub_mul([], [], []) == []
+    empty = field.row_type()
+    assert field.mul_row(empty, empty) == empty
+    assert field.sub_mul(empty, empty, empty) == empty
+    assert field.join_rows([]) == field.join_rows([empty, empty]) == empty
+    assert field.inv_row(empty) == empty
+    assert field.split_row(empty, field.row_type([field.one])) == (empty, empty)
 
 
 def test_engine_makes_one_kernel_call_per_pivot_step(capsys, monkeypatch):

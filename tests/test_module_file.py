@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmod import (
+    AlgebraElement,
     AtomSet,
     GeneratorSet,
     ParseError,
@@ -18,6 +19,7 @@ from regmod import (
 )
 from regmod.randgen import default_labels, random_generator_set, random_vector
 from regmod.rng import SplitMix64
+from test_golden_cli import CORPORA, build_corpus
 
 
 def doc_fixture() -> dict:
@@ -236,8 +238,45 @@ def test_valid_fp_file_parses_without_per_scalar_calls(f5, monkeypatch):
 
         monkeypatch.setattr(PrimeField, name, counting)
     assert parse_module_file(text) == expected
-    # two check() calls per coordinate row (its least and greatest value), none per scalar
-    assert calls == {"parse": 0, "check": 2 * 8 * 8}
+    # parse_row validates each row; the parsed elements are not checked again
+    assert calls == {"parse": 0, "check": 0}
+
+
+def _check_raw(monkeypatch) -> list:
+    """Make AlgebraElement._raw run the checks it skips; the list collects what it built."""
+    built = []
+    raw = AlgebraElement._raw.__func__
+
+    def checking(cls, *fields):
+        element = raw(cls, *fields)
+        element.__post_init__()
+        built.append(element)
+        return element
+
+    monkeypatch.setattr(AlgebraElement, "_raw", classmethod(checking))
+    return built
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_golden_inputs_pass_the_skipped_checks(name, tmp_path, monkeypatch):
+    build_corpus(name, tmp_path)
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 7
+    built = _check_raw(monkeypatch)
+    for path in paths:
+        gens = parse_module_file(path.read_text(encoding="utf-8"))
+        assert built[-1].field == gens.field and built[-1].context == gens.context
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_random_files_pass_the_skipped_checks(seed):
+    gens = random_generator_set(SplitMix64(seed), max_atoms=6, max_gens=4, max_ambient=4)
+    text = render_module_file(gens)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = _check_raw(monkeypatch)
+        assert parse_module_file(text) == gens
+    assert len(built) == len(gens.gens) * gens.ambient_dim
 
 
 def test_bad_scalar_after_valid_rows_located_by_fallback():

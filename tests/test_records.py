@@ -204,6 +204,21 @@ def test_record_repr(cls, names, values, change, text):
     assert repr(cls(*values)) == text
 
 
+@pytest.mark.parametrize("cls, names, values, change, text", CASES, ids=IDS)
+def test_record_raw_equals_checked_construction(cls, names, values, change, text):
+    raw = cls._raw(*values)
+    assert type(raw) is cls and raw == cls(*values) and repr(raw) == text
+
+
+def test_record_raw_skips_the_checks():
+    with pytest.raises(ValidationError):
+        AlgebraElement(F5, CTX, (1, 7))
+    with pytest.raises(LengthMismatchError):
+        AlgebraElement(F5, CTX, (1,))
+    assert AlgebraElement._raw(F5, CTX, (1, 7)).values == (1, 7)
+    assert AlgebraElement._raw(F5, CTX, (1,)).values == (1,)
+
+
 def test_record_cases_cover_every_record_type():
     assert len(CASES) == len(set(IDS)) == 23
 
