@@ -68,10 +68,9 @@ def _join_lists(parts: Iterable[list]) -> list:
 
 
 def _split_list(flat: list, pivot: list) -> tuple[list, list]:
-    # scalars are falsy exactly when zero, so the pivot itself selects its nonzeros
+    hit = list(map(bool, pivot))  # scalars are falsy exactly when zero
     reps = len(flat) // len(pivot)
-    return (list(compress(flat, pivot * reps)),
-            list(compress(flat, list(map(not_, pivot)) * reps)))
+    return list(compress(flat, hit * reps)), list(compress(flat, list(map(not_, hit)) * reps))
 
 
 class _ByteTables(NamedTuple):
