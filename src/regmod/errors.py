@@ -66,13 +66,21 @@ class _RecordType(type):
                   if annotations[f].startswith("tuple[")}
         sets = "".join(f"_set(self, {field!r}, {tuples.get(field, field)}); " for field in fields)
         post = "self.__post_init__()" if "__post_init__" in namespace else "pass"
-        params = ", ".join(fields)
-        init = f"def __init__(self, {params}): {sets}{post}"
-        raw_sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
-        raw = f"def _raw(cls, {params}): self = _new(cls); {raw_sets}return self"
-        exec(f"{init}\n{raw}", {"_set": object.__setattr__, "_new": object.__new__}, namespace)
-        namespace["_raw"] = classmethod(namespace["_raw"])
+        init = f"def __init__(self, {', '.join(fields)}): {sets}{post}"
+        exec(init, {"_set": object.__setattr__}, namespace)
         return super().__new__(mcls, name, bases, namespace)
+
+    def __getattr__(cls, name):
+        # _raw is compiled on first use: compiling it for every class costs start-up time
+        if name != "_raw":
+            raise AttributeError(f"type object {cls.__name__!r} has no attribute {name!r}")
+        fields = cls.__slots__
+        sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
+        raw = f"def _raw(cls, {', '.join(fields)}): self = _new(cls); {sets}return self"
+        namespace: dict = {}
+        exec(raw, {"_set": object.__setattr__, "_new": object.__new__}, namespace)
+        cls._raw = classmethod(namespace["_raw"])
+        return cls._raw
 
 
 class Record(metaclass=_RecordType):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from operator import not_
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Record, ValidationError
 
@@ -73,25 +73,22 @@ def _split_list(flat: list, pivot: list) -> tuple[list, list]:
     return list(compress(flat, hit * reps)), list(compress(flat, list(map(not_, hit)) * reps))
 
 
-class _ByteTables(NamedTuple):
+class _ByteTables:
     """translate() tables for F_p rows held one canonical residue per byte."""
 
-    product: bytes  # x·p + y → x·y mod p
-    negated_product: bytes  # x·p + y → −x·y mod p
-    residue: bytes  # k → k mod p
-    inverse: bytes  # a → a⁻¹ mod p, and 0 → 0
+    __slots__ = ("product", "negated_product", "residue", "inverse")
+
+    def __init__(self, p: int):
+        products = [x * y % p for x in range(p) for y in range(p)]  # at index x·p + y
+        pad = bytes(256 - p * p)
+        self.product = bytes(products) + pad  # x·p + y → x·y mod p
+        self.negated_product = bytes(-v % p for v in products) + pad  # x·p + y → −x·y mod p
+        self.residue = bytes(k % p for k in range(256))  # k → k mod p
+        self.inverse = bytes([0] + [pow(a, -1, p) for a in range(1, p)]) + bytes(256 - p)
 
 
-@lru_cache(maxsize=None)  # called only for the six primes with p² ≤ 256
-def _byte_tables(p: int) -> _ByteTables:
-    products = [x * y % p for x in range(p) for y in range(p)]  # at index x·p + y
-    pad = bytes(256 - p * p)
-    return _ByteTables(
-        bytes(products) + pad,
-        bytes(-v % p for v in products) + pad,
-        bytes(k % p for k in range(256)),
-        bytes([0] + [pow(a, -1, p) for a in range(1, p)]) + bytes(256 - p),
-    )
+# called only for the six primes with p² ≤ 256
+_byte_tables = lru_cache(maxsize=None)(_ByteTables)
 
 
 def is_prime(n: int) -> bool:

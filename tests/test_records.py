@@ -217,6 +217,7 @@ def test_record_raw_skips_the_checks():
         AlgebraElement(F5, CTX, (1,))
     assert AlgebraElement._raw(F5, CTX, (1, 7)).values == (1, 7)
     assert AlgebraElement._raw(F5, CTX, (1,)).values == (1,)
+    assert not hasattr(AlgebraElement, "_no_such_name")
 
 
 def test_record_cases_cover_every_record_type():
