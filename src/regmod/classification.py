@@ -115,38 +115,48 @@ def regular_eliminate(
 
     Worklist of (region, atoms, flat, rows, cols, rank) states: the region,
     its atom indices in ascending order, and its matrix as one flat row of the
-    field's `row_type` (a list of scalars, or bytes for small prime fields),
+    field's `row_type` (a list of ints, or bytes for small prime fields),
     entry-major, entry (i, j) being flat[(i·cols + j)·n : (i·cols + j + 1)·n]:
-    its scalars over the region's n atoms only.  A state whose entries are all
-    zero is a leaf.  Otherwise the pivot a = M[i][j] is the first entry,
-    row-major, with the most nonzeros; it is a unit on its support g.  The
-    residual region, where a vanishes, re-queues with the matrix projected
-    onto it (`field.split_row`).  On g every other row k becomes
-    row_k − M[k][j]·(a⁻¹·row_i), the pivot row and column go and rank is
-    credited: one `field.mul_row` call scales the pivot row, one
-    `field.sub_mul` call builds the reduced matrix.  Only the zero pattern of
-    a scalar is read here; the field's row methods do all arithmetic.
-    Each push shrinks either the matrix or the region, so the procedure
-    terminates; the leaves partition e and carry the exact per-atom rank.  A
-    step costs time linear in its region, and an atom lies in a number of
-    regions bounded by the matrix size, so the total grows linearly in d.
+    its scalars over the region's n atoms only.  After the rows·cols entries
+    come the per-atom values the field carries: none over F_p; over ℚ, whose
+    rows are integers, each atom's previous pivot.  A state whose entries
+    are all zero is a leaf.  Otherwise the pivot a = M[i][j] is the first
+    entry, row-major, with the most nonzeros; it is a unit on its support g.
+    The residual region, where a vanishes, re-queues with the matrix and
+    the carried values projected onto it (`field.split_row`).  On g every
+    other row k is reduced against the pivot row, the pivot row and column
+    go and rank is credited, all in one `field.pivot_reduce` call.  Over F_p
+    that is row_k − M[k][j]·(a⁻¹·row_i): one `mul_row` call scales the
+    pivot row, one `sub_mul` call builds the reduced matrix.  Over ℚ it is
+    the fraction-free step (a·row_k − M[k][j]·row_i) // prev of Bareiss
+    (Math. Comp. 22, 1968), exact by Sylvester's identity, and a becomes
+    the new prev; `field.start_row` scales each atom's first matrix to
+    integers by the lcm of its denominators, with prev 1.  Either way an
+    entry is zero exactly where the Gaussian entry is, and only the zero
+    pattern of a scalar is read here; the field's row methods do all
+    arithmetic.  Each push shrinks either the matrix or the region, so the
+    procedure terminates; the leaves partition e and carry the exact
+    per-atom rank.  A step costs time linear in its region, and an atom
+    lies in a number of regions bounded by the matrix size, so the total
+    grows linearly in d.
     """
     if e.context != gens.context:
         raise ContextMismatchError("idempotent over a different atom set")
     if e.is_zero:
         raise ZeroIdempotentError("elimination needs a nonzero starting idempotent")
-    field, zero = gens.field, gens.field.zero
+    field = gens.field
     keep = [e.contains_atom(q) for q in range(len(e.context))]
     rows, cols = len(gens.gens), gens.ambient_dim
     values = chain.from_iterable(c.values for g in gens.gens for c in g.coords)
-    flat = field.row_type(compress(values, keep * (rows * cols)))
-    work = [(e, e.atom_indices(), flat, rows, cols, 0)]
+    atoms = e.atom_indices()
+    flat = field.start_row(compress(values, keep * (rows * cols)), len(atoms))
+    work = [(e, atoms, flat, rows, cols, 0)]
     leaves: list[tuple[Idempotent, int]] = []
     steps: list[PivotStep] = []
     while work:
         region, atoms, flat, rows, cols, rank = work.pop()
         n = len(atoms)
-        nonzeros = [n - flat[s:s + n].count(zero) for s in range(0, len(flat), n)]
+        nonzeros = [n - flat[s:s + n].count(0) for s in range(0, rows * cols * n, n)]
         best = max(nonzeros, default=0)
         if not best:
             leaves.append((region, rank))
@@ -164,14 +174,13 @@ def regular_eliminate(
             n = best
             pivot = flat[(i * cols + j) * n:(i * cols + j + 1) * n]
         steps.append(PivotStep(region, i, j, support))
-        inverse = field.inv_row(pivot)
         width, left, right = cols * n, j * n, (j + 1) * n
         others = [flat[k * width:(k + 1) * width] for k in range(rows)]
         pivot_row = others.pop(i)
-        scaled = field.mul_row(pivot_row[:left] + pivot_row[right:], inverse * (cols - 1))
         xs = field.join_rows(row[:left] + row[right:] for row in others)
         fs = field.join_rows(row[left:right] * (cols - 1) for row in others)
-        reduced = field.sub_mul(xs, fs, scaled * (rows - 1))
+        reduced = field.pivot_reduce(xs, fs, pivot_row[:left] + pivot_row[right:], pivot,
+                                     flat[rows * width:])
         work.append((support, atoms, reduced, rows - 1, cols - 1, rank + 1))
     leaves.sort(key=lambda leaf: leaf[0].first_atom_index())
     return leaves, EliminationTrace(e, tuple(steps), tuple(leaves))

@@ -311,13 +311,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _os_error_text(exc: OSError) -> str:
+    """str(exc), with each file name through _quote: a long path is cut to a prefix."""
+    if exc.filename is None:
+        return str(exc)
+    names = [_quote(name) for name in (exc.filename, exc.filename2) if name is not None]
+    return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (RegmodError, OSError) as exc:
+    except RegmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {_os_error_text(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:  # a traceback would exit 1, which reads as "no"
         print(f"error: internal error: {type(exc).__name__}: {_quote(str(exc))}", file=sys.stderr)

@@ -12,7 +12,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from operator import not_
+from math import lcm
+from operator import floordiv, mul, not_, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Record, ValidationError
@@ -188,6 +189,21 @@ class PrimeField(Record):
             .to_bytes(size, "little").translate(None, b"\xff")
             for mask in (_FF_AT_ZERO, _FF_AT_NONZERO))
 
+    def start_row(self, values: Iterable[int], n: int) -> Row:
+        """The engine's first matrix: the residues, entry-major over n atoms, as one row."""
+        return self.row_type(values)
+
+    def pivot_reduce(self, xs: Row, fs: Row, ys: Row, pivot: Row, carried: Row) -> Row:
+        """[sub(x, mul(f, y / a))]: Gaussian elimination below a pivot.
+
+        The pivot a holds one unit per atom and repeats along ys, the pivot
+        row, which repeats along xs and fs.  F_p carries nothing after the
+        matrix, so `carried` is empty.  One `mul_row` call scales the pivot
+        row, one `sub_mul` call builds the reduced matrix.
+        """
+        scaled = self.mul_row(ys, self.inv_row(pivot) * (len(ys) // len(pivot)))
+        return self.sub_mul(xs, fs, scaled * (len(xs) // max(len(ys), 1)))
+
     def inv_row(self, row: Row) -> Row:
         """[inv(a)] over a row."""
         if self.row_type is not bytes:
@@ -282,10 +298,18 @@ class RationalField(Record):
     def neg(self, a: Fraction) -> Fraction:
         return -a
 
-    # Row kernels (see PrimeField): rows are lists of Fractions.
+    # Row kernels (see PrimeField): the engine's rows are lists of ints.  Its
+    # elimination is fraction-free (Bareiss, "Sylvester's identity and
+    # multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    # 1968): each atom's matrix is scaled to integers once, and each pivot
+    # step divides exactly by that atom's previous pivot, carried after the
+    # matrix.  The engine reads only zero patterns, and these match the
+    # Fraction elimination's: after k steps an entry of either is the same
+    # (k+1)-minor of the atom's matrix, times a power of the atom's scale or
+    # over the k-minor of its pivots, so one is zero exactly when the other is.
     row_type = list
 
-    def join_rows(self, parts: Iterable[list]) -> list[Fraction]:
+    def join_rows(self, parts: Iterable[list]) -> list:
         """The concatenation of rows."""
         return _join_lists(parts)
 
@@ -293,17 +317,30 @@ class RationalField(Record):
         """(flat where pivot ≠ 0, flat where pivot = 0), flat being entries of len(pivot) ≥ 1."""
         return _split_list(flat, pivot)
 
-    def inv_row(self, row: Sequence[Fraction]) -> list[Fraction]:
-        """[inv(a)] over a row."""
-        return [self.inv(a) for a in row]
+    def start_row(self, values: Iterable[Fraction], n: int) -> list[int]:
+        """The engine's first matrix as integers, then n previous pivots of 1.
 
-    def mul_row(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
-        """[mul(x, y)] over two aligned rows."""
-        return [x * y for x, y in zip(xs, ys)]
+        The values run entry-major over n atoms; each atom's are multiplied
+        by the lcm of their denominators.
+        """
+        values = list(values)
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        scales = [lcm(*dens[t::n]) for t in range(n)] * (len(values) // n)
+        return [a * (s // b) for a, b, s in zip(nums, dens, scales)] + [1] * n
 
-    def sub_mul(self, xs: Sequence, fs: Sequence, ys: Sequence) -> list[Fraction]:
-        """[sub(x, mul(f, y))] over three aligned rows."""
-        return [x - f * y for x, f, y in zip(xs, fs, ys)]
+    def pivot_reduce(self, xs: list, fs: list, ys: list, pivot: list, prev: list) -> list[int]:
+        """[(a·x − f·y) // prev], then the pivot a as the new previous pivots.
+
+        One Bareiss step over integer rows: a and prev hold one value per
+        atom and repeat along xs, ys (the pivot row) repeats along xs and
+        fs.  Sylvester's identity makes every division exact, whatever entry
+        each step pivots on.
+        """
+        reps = len(xs) // len(pivot)
+        products = map(mul, fs, ys * (len(xs) // max(len(ys), 1)))
+        scaled = map(mul, pivot * reps, xs)
+        return list(map(floordiv, map(sub, scaled, products), prev * reps)) + pivot
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

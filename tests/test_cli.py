@@ -146,6 +146,17 @@ def test_passport_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parts", [("d" * 300, "f" * 3000), ("missing",) * 400],
+                         ids=["long-names", "deep-directories"])
+def test_long_missing_path_error_is_short(tmp_path, capsys, parts):
+    path = str(tmp_path.joinpath(*parts))
+    assert len(path) > 3000
+    assert main(["passport", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno ")
+    assert err.count("\n") == 1 and len(err) < 200 and f"({len(path)} characters)" in err
+
+
 @pytest.mark.parametrize("error", [RuntimeError("boom\n" + "x" * 5000), MemoryError()])
 def test_unexpected_exception_exits_2(fixture_file, capsys, monkeypatch, error):
     def failing(gens):
