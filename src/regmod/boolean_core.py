@@ -7,6 +7,7 @@ operations and every supremum exists trivially.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatchError, NotMinorantError, Record, ValidationError
@@ -131,19 +132,12 @@ class Idempotent(Record):
 
 def sup_family(es: Iterable[Idempotent], context: Optional[AtomSet] = None) -> Idempotent:
     """Supremum of a family; the empty supremum needs an explicit context."""
-    acc: Optional[Idempotent] = None
-    for e in es:
-        if acc is None:
-            acc = e
-            if context is not None and e.context != context:
-                raise ContextMismatchError("idempotents over different atom sets")
-        else:
-            acc = acc.join(e)
-    if acc is None:
-        if context is None:
+    es = list(es)
+    if context is None:
+        if not es:
             raise ValueError("empty family needs an explicit atom set")
-        return context.empty()
-    return acc
+        context = es[0].context
+    return reduce(Idempotent.join, es, context.empty())
 
 
 class PartitionOfUnity(Record):

@@ -223,11 +223,10 @@ def kappa(gens: GeneratorSet, e: Idempotent) -> Optional[int]:
 
 def is_strictly_homogeneous(gens: GeneratorSet, e: Idempotent) -> bool:
     """Whether every nonzero idempotent below e sees the same rank."""
-    if e.context != gens.context:
-        raise ContextMismatchError("idempotent over a different atom set")
+    rank = kappa(gens, e)  # checks the atom set first
     if e.is_zero:
         raise ZeroIdempotentError("strict homogeneity is asked of a nonzero idempotent")
-    return kappa(gens, e) is not None
+    return rank is not None
 
 
 def _selected_basis(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent
@@ -33,7 +34,7 @@ def _load(path: str) -> GeneratorSet:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        raise ParseError(f"{_quote(path)} is not UTF-8 text: {exc.reason}") from exc
     return parse_module_file(text)
 
 
@@ -64,9 +65,7 @@ def cmd_passport(args: argparse.Namespace) -> int:
 
 
 def _first_difference(pa: Passport, pb: Passport) -> tuple[str, str]:
-    for i in range(max(len(pa.entries), len(pb.entries))):
-        ea = pa.entries[i] if i < len(pa.entries) else None
-        eb = pb.entries[i] if i < len(pb.entries) else None
+    for ea, eb in zip_longest(pa.entries, pb.entries):
         if ea != eb:
             return (
                 ea.render() if ea else "(no entry)",

@@ -70,18 +70,6 @@ class _RecordType(type):
         exec(init, {"_set": object.__setattr__}, namespace)
         return super().__new__(mcls, name, bases, namespace)
 
-    def __getattr__(cls, name):
-        # _raw is compiled on first use: compiling it for every class costs start-up time
-        if name != "_raw":
-            raise AttributeError(f"type object {cls.__name__!r} has no attribute {name!r}")
-        fields = cls.__slots__
-        sets = "".join(f"_set(self, {field!r}, {field}); " for field in fields)
-        raw = f"def _raw(cls, {', '.join(fields)}): self = _new(cls); {sets}return self"
-        namespace: dict = {}
-        exec(raw, {"_set": object.__setattr__, "_new": object.__new__}, namespace)
-        cls._raw = classmethod(namespace["_raw"])
-        return cls._raw
-
 
 class Record(metaclass=_RecordType):
     """Frozen value record: its annotated names are its fields and __slots__.
@@ -89,10 +77,17 @@ class Record(metaclass=_RecordType):
     __init__ takes the fields by position or keyword, stores any iterable
     given for a tuple[...] field as a tuple, then runs the class's own
     __post_init__, if any.  Equality and hash go by the field values.
-    The classmethod _raw takes the same fields, already in their stored form
-    (tuples as tuples), and sets them unchecked: it is for callers that have
-    validated every field themselves.
+    The classmethod _raw takes the same fields by position, already in their
+    stored form (tuples as tuples), and sets them unchecked: it is for
+    callers that have validated every field themselves.
     """
+
+    @classmethod
+    def _raw(cls, *values):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -65,10 +65,12 @@ def _check_by(check: Callable, deciders: Iterable, values: Sequence) -> None:
 
 
 def _join_lists(parts: Iterable[list]) -> list:
+    """The concatenation of list rows."""
     return list(chain.from_iterable(parts))
 
 
 def _split_list(flat: list, pivot: list) -> tuple[list, list]:
+    """(flat where pivot ≠ 0, flat where pivot = 0) over list rows: see PrimeField.split_row."""
     hit = list(map(bool, pivot))  # scalars are falsy exactly when zero
     reps = len(flat) // len(pivot)
     return list(compress(flat, hit * reps)), list(compress(flat, list(map(not_, hit)) * reps))
@@ -308,14 +310,7 @@ class RationalField(Record):
     # (k+1)-minor of the atom's matrix, times a power of the atom's scale or
     # over the k-minor of its pivots, so one is zero exactly when the other is.
     row_type = list
-
-    def join_rows(self, parts: Iterable[list]) -> list:
-        """The concatenation of rows."""
-        return _join_lists(parts)
-
-    def split_row(self, flat: list, pivot: list) -> tuple[list, list]:
-        """(flat where pivot ≠ 0, flat where pivot = 0), flat being entries of len(pivot) ≥ 1."""
-        return _split_list(flat, pivot)
+    join_rows, split_row = staticmethod(_join_lists), staticmethod(_split_list)
 
     def start_row(self, values: Iterable[Fraction], n: int) -> list[int]:
         """The engine's first matrix as integers, then n previous pivots of 1.

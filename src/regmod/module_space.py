@@ -20,7 +20,7 @@ from .errors import (
     ZeroIdempotentError,
 )
 from .fields import Field, Scalar
-from .regular_algebra import AlgebraElement, from_fibers
+from .regular_algebra import AlgebraElement, from_fibers, mix_scalars
 
 
 class ModuleVector(Record):
@@ -224,13 +224,9 @@ def mix_vectors(p: PartitionOfUnity, xs: Sequence[ModuleVector]) -> ModuleVector
     """The unique vector agreeing with xs[i] on the i-th partition piece."""
     if len(xs) != len(p.pieces):
         raise LengthMismatchError(f"{len(xs)} vectors for {len(p.pieces)} partition pieces")
-    first = xs[0]
     for x in xs:
-        first._require_same_space(x)
-    if p.context != first.context:
-        raise ContextMismatchError("partition over a different atom set")
-    fibers = {q: x.fiber(q) for piece, x in zip(p.pieces, xs) for q in piece.atom_indices()}
-    return ModuleVector(from_fibers(first.field, first.context, first.ambient_dim, fibers))
+        xs[0]._require_same_space(x)
+    return ModuleVector(tuple(mix_scalars(p, column) for column in zip(*(x.coords for x in xs))))
 
 
 def combine(gens: Sequence[ModuleVector], coefficients: Sequence[AlgebraElement]) -> ModuleVector:

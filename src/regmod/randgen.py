@@ -146,9 +146,9 @@ def perturb_rank_profile(gens: GeneratorSet, rng: SplitMix64) -> GeneratorSet:
     """
     field, context, n = gens.field, gens.context, gens.ambient_dim
     q = rng.below(len(context))
-    current = fiber_rank(gens.fiber_matrix(q), field)
+    fibers = gens.fiber_matrix(q)
+    current = fiber_rank(fibers, field)
     if current < n:
-        fibers = gens.fiber_matrix(q)
         for pos in range(n):
             unit = [field.one if c == pos else field.zero for c in range(n)]
             if fiber_rank(fibers + [unit], field) > current:

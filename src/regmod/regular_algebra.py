@@ -8,7 +8,8 @@ every element the regularity witness a*a*i(a) == a.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .boolean_core import AtomSet, Idempotent, PartitionOfUnity
 from .errors import ContextMismatchError, LengthMismatchError, Record, ValidationError
@@ -49,15 +50,18 @@ class AlgebraElement(Record):
     @classmethod
     def from_idempotent(cls, field: Field, e: Idempotent) -> "AlgebraElement":
         """The characteristic element of e: one on its atoms, zero elsewhere."""
-        return cls(
-            field,
-            e.context,
-            tuple(field.one if e.contains_atom(i) else field.zero for i in range(len(e.context))),
-        )
+        return cls.one(field, e.context).restrict(e)
 
     def _require_same_context(self, other: "AlgebraElement") -> None:
         if self.field != other.field or self.context != other.context:
             raise ContextMismatchError("elements over different algebras")
+
+    def _pointwise(self, op: Callable, *others: "AlgebraElement") -> "AlgebraElement":
+        """The element op(a, b, ...) at each atom, a from self and b, ... from the others."""
+        for other in others:
+            self._require_same_context(other)
+        values = tuple(map(op, self.values, *(other.values for other in others)))
+        return AlgebraElement(self.field, self.context, values)
 
     @property
     def is_zero(self) -> bool:
@@ -65,28 +69,20 @@ class AlgebraElement(Record):
         return all(v == zero for v in self.values)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same_context(other)
-        f = self.field
-        return AlgebraElement(f, self.context, tuple(f.add(a, b) for a, b in zip(self.values, other.values)))
+        return self._pointwise(self.field.add, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same_context(other)
-        f = self.field
-        return AlgebraElement(f, self.context, tuple(f.sub(a, b) for a, b in zip(self.values, other.values)))
+        return self._pointwise(self.field.sub, other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same_context(other)
-        f = self.field
-        return AlgebraElement(f, self.context, tuple(f.mul(a, b) for a, b in zip(self.values, other.values)))
+        return self._pointwise(self.field.mul, other)
 
     def __neg__(self) -> "AlgebraElement":
-        f = self.field
-        return AlgebraElement(f, self.context, tuple(f.neg(a) for a in self.values))
+        return self._pointwise(self.field.neg)
 
     def scale(self, scalar: Scalar) -> "AlgebraElement":
-        f = self.field
-        f.check(scalar)
-        return AlgebraElement(f, self.context, tuple(f.mul(scalar, a) for a in self.values))
+        self.field.check(scalar)
+        return self._pointwise(partial(self.field.mul, scalar))
 
     def inversion(self) -> "AlgebraElement":
         """Pointwise inverse on the support, zero off it; an involution."""
@@ -170,10 +166,10 @@ class StepForm(Record):
             seen_mask |= term.piece.mask
 
     def to_element(self, field: Field, context: AtomSet) -> AlgebraElement:
-        acc = AlgebraElement.zeros(field, context)
-        for term in self.terms:
-            acc = acc + AlgebraElement.from_idempotent(field, term.piece).scale(term.value)
-        return acc
+        if any(term.piece.context != context for term in self.terms):
+            raise ContextMismatchError("step piece over a different atom set")
+        fibers = {q: (term.value,) for term in self.terms for q in term.piece.atom_indices()}
+        return from_fibers(field, context, 1, fibers)[0]
 
 
 def from_fibers(

@@ -165,3 +165,16 @@ def test_random_block_partitions(assignment):
     assert sum(pc.count for pc in p.pieces) == 4
     for q in range(4):
         assert p.pieces[p.piece_of(q)].contains_atom(q)
+
+
+def test_sup_family_refuses_another_atom_set(ctx):
+    other = AtomSet(("a", "b", "c", "d"))
+    with pytest.raises(ContextMismatchError, match="idempotents over different atom sets"):
+        sup_family([ctx.atom("q1"), other.atom("a")])
+    with pytest.raises(ContextMismatchError, match="idempotents over different atom sets"):
+        sup_family([ctx.atom("q1")], context=other)
+    with pytest.raises(ContextMismatchError):
+        sup_family([ctx.atom("q1"), ctx.atom("q2"), other.atom("a")], context=ctx)
+    assert sup_family(iter([ctx.atom("q2")]), context=ctx) == ctx.atom("q2")
+    with pytest.raises(ValueError, match="empty family needs an explicit atom set"):
+        sup_family(iter([]))

@@ -188,6 +188,10 @@ def test_strict_homogeneity(f5, ctx, fixture_gens):
     assert is_strictly_homogeneous(standard_basis(f5, ctx, 2), ctx.full())
     with pytest.raises(ZeroIdempotentError):
         is_strictly_homogeneous(fixture_gens, ctx.empty())
+    other = AtomSet(("a", "b", "c"))
+    for e in (other.empty(), other.full()):  # the atom set is checked before zero-ness
+        with pytest.raises(ContextMismatchError):
+            is_strictly_homogeneous(fixture_gens, e)
 
 
 def test_extract_basis_fixture(f5, ctx, fixture_gens):

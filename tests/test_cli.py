@@ -157,6 +157,43 @@ def test_long_missing_path_error_is_short(tmp_path, capsys, parts):
     assert err.count("\n") == 1 and len(err) < 200 and f"({len(path)} characters)" in err
 
 
+LATIN1_DOC = FIXTURE_DOC.replace('"q1"', '"q\xe9"').encode("latin-1")
+
+
+def test_long_non_utf8_path_error_is_short(tmp_path, capsys):
+    folder = tmp_path.joinpath(*["d" * 60] * 40)
+    folder.mkdir(parents=True)
+    path = folder / "latin1.json"
+    path.write_bytes(LATIN1_DOC)
+    assert len(str(path)) > 2000
+    assert main(["passport", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: ") and f"({len(str(path))} characters) is not UTF-8 text: " in err
+
+
+def test_short_non_utf8_path_is_quoted(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(LATIN1_DOC)
+    assert main(["passport", "latin1.json"]) == 2
+    assert capsys.readouterr().err == "error: 'latin1.json' is not UTF-8 text: invalid continuation byte\n"
+
+
+def test_first_difference_names_the_first_unequal_entries():
+    from regmod.cli import _first_difference
+
+    ctx = regmod.AtomSet(("q1", "q2"))
+    one = regmod.Passport((regmod.PassportEntry(ctx.full(), 1),))
+    two = regmod.Passport((regmod.PassportEntry(ctx.atom("q1"), 0),
+                           regmod.PassportEntry(ctx.atom("q2"), 2)))
+    assert _first_difference(one, one) == ("(none)", "(none)")
+    assert _first_difference(one, two) == ("rank=1 piece={q1,q2}", "rank=0 piece={q1}")
+    assert _first_difference(two, one) == ("rank=0 piece={q1}", "rank=1 piece={q1,q2}")
+    other = regmod.Passport((regmod.PassportEntry(ctx.atom("q1"), 0),
+                             regmod.PassportEntry(ctx.atom("q2"), 3)))
+    assert _first_difference(two, other) == ("rank=2 piece={q2}", "rank=3 piece={q2}")
+
+
 @pytest.mark.parametrize("error", [RuntimeError("boom\n" + "x" * 5000), MemoryError()])
 def test_unexpected_exception_exits_2(fixture_file, capsys, monkeypatch, error):
     def failing(gens):

@@ -74,13 +74,17 @@ def test_mix_vectors(f5, ctx):
 def test_mix_vectors_errors(f5, ctx):
     p = PartitionOfUnity((ctx.subset(["q1"]), ctx.subset(["q2", "q3"])))
     x = vec(f5, ctx, (1, 1, 1))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="^1 vectors for 2 partition pieces$"):
         mix_vectors(p, [x])
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ContextMismatchError, match="vectors in different module spaces"):
         mix_vectors(p, [x, vec(f5, ctx, (1, 1, 1), (2, 2, 2))])
+    with pytest.raises(ContextMismatchError, match="vectors in different module spaces"):
+        mix_vectors(p, [x, vec(PrimeField(7), ctx, (1, 1, 1))])
     other = AtomSet(("a", "b", "c"))
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ContextMismatchError, match="partition over a different atom set"):
         mix_vectors(PartitionOfUnity((other.full(),)), [x])
+    with pytest.raises(ContextMismatchError, match="partition over a different atom set"):
+        mix_vectors(PartitionOfUnity((other.full(),)), [vec(f5, ctx, (1, 1, 1), (2, 2, 2))])
 
 
 def test_membership_fixture(f5, ctx, fixture_gens):

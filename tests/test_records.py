@@ -218,6 +218,8 @@ def test_record_raw_skips_the_checks():
     assert AlgebraElement._raw(F5, CTX, (1, 7)).values == (1, 7)
     assert AlgebraElement._raw(F5, CTX, (1,)).values == (1,)
     assert not hasattr(AlgebraElement, "_no_such_name")
+    with pytest.raises(AttributeError, match="^type object 'AlgebraElement' has no attribute '_no_such_name'$"):
+        AlgebraElement._no_such_name
 
 
 def test_record_cases_cover_every_record_type():

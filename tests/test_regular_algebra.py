@@ -181,3 +181,37 @@ def test_step_roundtrip_rational_random(values):
     ctx = AtomSet(("t1", "t2", "t3"))
     a = AlgebraElement.from_values(RationalField(), ctx, values)
     assert a.step_form().to_element(RationalField(), ctx) == a
+
+
+# -- one context check and one per-scalar op behind every pointwise operator --
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_binary_ops_refuse_another_field_or_atom_set(op, f5, ctx):
+    a = AlgebraElement.one(f5, ctx)
+    others = [AlgebraElement.one(PrimeField(7), ctx), AlgebraElement.one(RationalField(), ctx),
+              AlgebraElement.one(f5, AtomSet(("a", "b", "c")))]
+    for other in others:
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(ContextMismatchError, match="elements over different algebras"):
+                getattr(left, f"__{op}__")(right)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(97), RationalField()], ids=["F5", "F97", "Q"])
+def test_neg_scale_and_from_idempotent_equal_per_scalar_field_ops(field, ctx):
+    a = AlgebraElement.from_values(field, ctx, (3, 0, -2))
+    assert (-a).values == tuple(field.neg(v) for v in a.values)
+    for s in (field.zero, field.one, field.coerce(-1), field.coerce(4)):
+        assert a.scale(s).values == tuple(field.mul(s, v) for v in a.values)
+    for bad in (field.p if isinstance(field, PrimeField) else 2, 0.5):
+        with pytest.raises(ValidationError):
+            a.scale(bad)
+    char = AlgebraElement.from_idempotent(field, ctx.subset(["q1", "q3"]))
+    assert char.values == (field.one, field.zero, field.one)
+    assert AlgebraElement.from_idempotent(field, ctx.empty()).is_zero
+
+
+def test_step_form_refuses_a_piece_over_another_atom_set(f5, ctx):
+    other = AtomSet(("a", "b", "c"))
+    form = StepForm((StepTerm(2, other.subset(["a"])),))
+    with pytest.raises(ContextMismatchError):
+        form.to_element(f5, ctx)
