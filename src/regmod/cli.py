@@ -9,10 +9,8 @@ or inconsistent input).  `--json` switches the structured commands to JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent
 from .classification import (
@@ -24,7 +22,7 @@ from .classification import (
 )
 from .errors import ParseError, RegmodError, ValidationError
 from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
-from .module_file import parse_module_file, render_module_file
+from .module_file import dump_json, parse_module_file, render_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
 from .rng import SplitMix64
 
@@ -45,12 +43,13 @@ def _passport_json(pp: Passport) -> list[dict]:
     ]
 
 
-def _vector_json(v: ModuleVector) -> list[list[str]]:
-    return [[v.field.render(s) for s in coord.values] for coord in v.coords]
+def _vector_json(v: ModuleVector) -> list[Iterator[str]]:
+    """One lazy row per coordinate: dump_json renders each scalar as it writes it."""
+    return [map(v.field.render, coord.values) for coord in v.coords]
 
 
 def _print_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2))
+    print(dump_json(obj))
 
 
 def cmd_passport(args: argparse.Namespace) -> int:
@@ -65,12 +64,11 @@ def cmd_passport(args: argparse.Namespace) -> int:
 
 
 def _first_difference(pa: Passport, pb: Passport) -> tuple[str, str]:
-    for ea, eb in zip_longest(pa.entries, pb.entries):
+    # Two passports over one atom set each cover it with disjoint pieces, so
+    # neither entry list is a proper prefix of the other: zip reaches the difference.
+    for ea, eb in zip(pa.entries, pb.entries):
         if ea != eb:
-            return (
-                ea.render() if ea else "(no entry)",
-                eb.render() if eb else "(no entry)",
-            )
+            return ea.render(), eb.render()
     return "(none)", "(none)"
 
 
@@ -178,8 +176,7 @@ def cmd_member(args: argparse.Namespace) -> int:
                 {
                     "member": True,
                     "coefficients": [
-                        [gens.field.render(v) for v in c.values]
-                        for c in result.coefficients
+                        map(gens.field.render, c.values) for c in result.coefficients
                     ],
                 }
             )
@@ -328,6 +325,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {_os_error_text(exc)}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:  # a traceback would exit 1, which reads as "no"
         print(f"error: internal error: {type(exc).__name__}: {_quote(str(exc))}", file=sys.stderr)

@@ -9,11 +9,16 @@ Structural problems (bad JSON, duplicate or unknown keys, wrong types,
 missing keys) raise ParseError; semantic ones (dimensions, duplicate labels,
 non-prime modulus, scalars that do not parse in the declared field) raise
 ValidationError.
+
+The same module owns the writer: `dump_json` writes every JSON text regmod
+emits, module files and the CLI's `--json` answers alike.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .boolean_core import AtomSet
 from .errors import ParseError, ValidationError
@@ -118,15 +123,69 @@ def _field_payload(field: Field) -> dict:
     return {"kind": "rational"}
 
 
+def dump_json(value: object) -> str:
+    """Exactly the text `json.dumps` writes for `value` with an indent of 2,
+    for dicts with str keys, lists, str, int, bool and None; anything else
+    raises TypeError.
+
+    An iterator stands for a list and is read once, so a row of scalars can
+    be given as `map(field.render, values)` and is rendered only as it is
+    written: no document of rendered scalars is ever built.
+    """
+    out: list[str] = []
+    _dump(value, "\n", out)
+    return "".join(out)
+
+
+def _dump(value: object, newline: str, out: list[str]) -> None:
+    """Append `value`'s text to `out`; `newline` is "\n" plus the current indent."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{_json_string(key)}: ")
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, Iterator)):
+        items = list(value)
+        if not items:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, items)) == {str}:  # a row of scalars: one join, no per-item call
+            out.append(f"[{inner}{(',' + inner).join(map(_json_string, items))}{newline}]")
+            return
+        sep = "[" + inner
+        for item in items:
+            out.append(sep)
+            _dump(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_module_file(gens: GeneratorSet) -> str:
     """Canonical document text; parse_module_file inverts it exactly."""
+    render = gens.field.render
     doc = {
         "field": _field_payload(gens.field),
         "atoms": list(gens.context.labels),
         "ambient_dim": gens.ambient_dim,
-        "generators": [
-            [[gens.field.render(v) for v in coord.values] for coord in g.coords]
-            for g in gens.gens
-        ],
+        "generators": [[map(render, coord.values) for coord in g.coords] for g in gens.gens],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc) + "\n"

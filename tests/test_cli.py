@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -194,7 +195,7 @@ def test_first_difference_names_the_first_unequal_entries():
     assert _first_difference(two, other) == ("rank=2 piece={q2}", "rank=3 piece={q2}")
 
 
-@pytest.mark.parametrize("error", [RuntimeError("boom\n" + "x" * 5000), MemoryError()])
+@pytest.mark.parametrize("error", [RuntimeError("boom\n" + "x" * 5000), KeyError("k" * 5000)])
 def test_unexpected_exception_exits_2(fixture_file, capsys, monkeypatch, error):
     def failing(gens):
         raise error
@@ -205,6 +206,28 @@ def test_unexpected_exception_exits_2(fixture_file, capsys, monkeypatch, error):
     assert out == ""
     assert err.startswith(f"error: internal error: {type(error).__name__}: ")
     assert "Traceback" not in err and err.count("\n") == 1 and len(err) < 200
+
+
+def test_out_of_memory_exits_2_with_its_own_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("regmod.cli.cmd_gen", exhausted)
+    assert main(["gen", "--seed", "1", "--atoms", "1000000000", "--ambient", "1",
+                 "--gens", "1", "--field", "fp:5"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_wide_emit_map_json_is_pinned(tmp_path, capsys):
+    from test_module_file import wide_module
+
+    path = write_doc(tmp_path, "f5.json", render_module_file(wide_module(regmod.PrimeField(5), 1024)))
+    assert main(["iso", path, path, "--emit-map", "--json"]) == 0
+    out = capsys.readouterr().out
+    # sha256 of the stdout of the json.dumps(indent=2) renderer
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "da6ba3547624d149f37c87e20771551b7e109ac58a234aca28a4a1a20710b6c9"
+    )
 
 
 def test_passport_malformed_json(tmp_path, capsys):

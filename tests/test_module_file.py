@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from regmod import (
     parse_module_file,
     render_module_file,
 )
+from regmod.module_file import dump_json
 from regmod.randgen import default_labels, random_generator_set, random_vector
 from regmod.rng import SplitMix64
 from test_golden_cli import CORPORA, build_corpus
@@ -287,3 +290,86 @@ def test_bad_scalar_after_valid_rows_located_by_fallback():
         parse_module_file(json.dumps(doc))
     assert str(info.value).startswith("generators[1][1][1]: ")
     assert "out of range for modulus" in str(info.value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**300), 2**300) | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], [{}], {"a": {}, "b": []},
+    [0, -1, 2**200, -(2**200), True, False, None],
+    {'q"uote': "back\\slash", "ctl\x00\x1f\x7f": "tab\t\nline\r", "é": "ü😀\u2028\ud800"},
+])
+def test_dump_json_edge_values(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_equals_json_dumps_indent_2(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+def _lazy(value):
+    """`value` with every list of strings replaced by a one-shot iterator over it."""
+    if isinstance(value, dict):
+        return {key: _lazy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        if all(isinstance(item, str) for item in value):
+            return iter(value)
+        return [_lazy(item) for item in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_reads_rows_given_as_iterators(value):
+    assert dump_json(_lazy(value)) == json.dumps(value, indent=2)
+
+
+def test_dump_json_reads_a_map_once():
+    lazy = {"row": map(str, range(3)), "rows": [map(str, "ab"), iter(())]}
+    plain = {"row": ["0", "1", "2"], "rows": [["a", "b"], []]}
+    assert dump_json(lazy) == json.dumps(plain, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, ("a",), {1: "a"}, b"a"])
+def test_dump_json_rejects_what_regmod_never_writes(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
+
+
+def wide_module(field, atoms: int, seed: int = 1) -> GeneratorSet:
+    """What `regmod gen --seed 1 --atoms <atoms> --ambient 8 --gens 8` builds."""
+    rng = SplitMix64(seed)
+    context = AtomSet(default_labels(atoms))
+    return GeneratorSet(field, context, 8, tuple(random_vector(field, context, 8, rng) for _ in range(8)))
+
+
+# sha256 of render_module_file's text, taken from the json.dumps(indent=2) renderer
+WIDE_RENDER_PINS = [
+    (PrimeField(5), 1024, "34e34dd490e8875ca37db40233cadbfe4946afae111b1fb5d40148107c028f28"),
+    (RationalField(), 64, "b96dd1e2841f8b90a3b05109a263be12d5a9fd0c869fa50bf2b3d53d8b5f9740"),
+]
+
+
+@pytest.mark.parametrize("field, atoms, digest", WIDE_RENDER_PINS)
+def test_wide_render_is_pinned(field, atoms, digest):
+    text = render_module_file(wide_module(field, atoms))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_render_peak_memory_is_a_few_times_the_text():
+    gens = wide_module(PrimeField(5), 1024)
+    tracemalloc.start()
+    try:
+        text = render_module_file(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text itself is counted: a writer that builds no document of rendered scalars stays near 2-4x
+    assert peak <= 5 * len(text), peak / len(text)
