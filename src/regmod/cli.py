@@ -22,7 +22,7 @@ from .classification import (
 )
 from .errors import ParseError, RegmodError, ValidationError
 from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
-from .module_file import dump_json, parse_module_file, render_module_file
+from .module_file import _dump, parse_module_file, render_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
 from .rng import SplitMix64
 
@@ -44,12 +44,15 @@ def _passport_json(pp: Passport) -> list[dict]:
 
 
 def _vector_json(v: ModuleVector) -> list[Iterator[str]]:
-    """One lazy row per coordinate: dump_json renders each scalar as it writes it."""
+    """One lazy row per coordinate: the JSON writer renders each scalar as it writes it."""
     return [map(v.field.render, coord.values) for coord in v.coords]
 
 
 def _print_json(obj: object) -> None:
-    print(dump_json(obj))
+    """dump_json(obj) and a newline, written to stdout a chunk at a time."""
+    write = sys.stdout.write  # looked up per call, so a redirected stdout is honoured
+    _dump(obj, "\n", write)
+    write("\n")
 
 
 def cmd_passport(args: argparse.Namespace) -> int:

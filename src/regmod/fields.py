@@ -262,8 +262,7 @@ class PrimeField(Record):
                 pass
         return _each(self.parse, texts)
 
-    def render(self, v: int) -> str:
-        return str(v)
+    render = staticmethod(str)  # a canonical residue's text; no Python frame per scalar
 
     def describe(self) -> str:
         return f"fp:{self.p}"

@@ -10,14 +10,15 @@ missing keys) raise ParseError; semantic ones (dimensions, duplicate labels,
 non-prime modulus, scalars that do not parse in the declared field) raise
 ValidationError.
 
-The same module owns the writer: `dump_json` writes every JSON text regmod
-emits, module files and the CLI's `--json` answers alike.
+The same module owns the writer, `_dump`, behind every JSON text regmod
+emits: `dump_json` returns a module file's text whole, and the CLI streams
+its `--json` answers to stdout through it a chunk at a time.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .boolean_core import AtomSet
@@ -133,48 +134,49 @@ def dump_json(value: object) -> str:
     written: no document of rendered scalars is ever built.
     """
     out: list[str] = []
-    _dump(value, "\n", out)
+    _dump(value, "\n", out.append)
     return "".join(out)
 
 
-def _dump(value: object, newline: str, out: list[str]) -> None:
-    """Append `value`'s text to `out`; `newline` is "\n" plus the current indent."""
+def _dump(value: object, newline: str, write: Callable[[str], object]) -> None:
+    """Write `value`'s text through `write`, a chunk at a time, as dump_json
+    would return it; `newline` is "\n" plus the current indent."""
     if isinstance(value, str):
-        out.append(_json_string(value))
+        write(_json_string(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif isinstance(value, bool):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{sep}{_json_string(key)}: ")
-            _dump(item, inner, out)
+            write(f"{sep}{_json_string(key)}: ")
+            _dump(item, inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, (list, Iterator)):
         items = list(value)
         if not items:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         if set(map(type, items)) == {str}:  # a row of scalars: one join, no per-item call
-            out.append(f"[{inner}{(',' + inner).join(map(_json_string, items))}{newline}]")
+            write(f"[{inner}{(',' + inner).join(map(_json_string, items))}{newline}]")
             return
         sep = "[" + inner
         for item in items:
-            out.append(sep)
-            _dump(item, inner, out)
+            write(sep)
+            _dump(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -15,7 +15,7 @@ from .boolean_core import AtomSet, Idempotent
 from .fields import Field, PrimeField, RationalField, Scalar
 from .module_space import GeneratorSet, ModuleVector, combine, fiber_rank
 from .regular_algebra import AlgebraElement, from_fibers
-from .rng import SplitMix64
+from .rng import _BLOCK, SplitMix64, one_word_limit
 
 ACCEPTANCE_FIELDS: tuple[Field, ...] = (
     PrimeField(2),
@@ -33,10 +33,15 @@ def random_field(rng: SplitMix64) -> Field:
     return rng.choice(ACCEPTANCE_FIELDS)
 
 
+# A random rational is (below(21) − 10) / (1 + below(9)), looked up here by
+# 9·numerator draw + denominator draw; Fractions are immutable, so shared.
+_RATIONALS = tuple(Fraction(a - 10, 1 + b) for a in range(21) for b in range(9))
+
+
 def random_scalar(field: Field, rng: SplitMix64) -> Scalar:
     if isinstance(field, PrimeField):
         return rng.below(field.p)
-    return Fraction(rng.below(21) - 10, 1 + rng.below(9))
+    return _RATIONALS[rng.below(21) * 9 + rng.below(9)]
 
 
 def random_nonzero_scalar(field: Field, rng: SplitMix64) -> Scalar:
@@ -49,12 +54,18 @@ def random_nonzero_scalar(field: Field, rng: SplitMix64) -> Scalar:
 def random_element(
     field: Field, context: AtomSet, rng: SplitMix64, zero_bias: int = 3
 ) -> AlgebraElement:
-    """Random element; roughly one value in `zero_bias` is forced to zero."""
-    values = [
+    """Random element; roughly one value in `zero_bias` is forced to zero.
+
+    The values come from blocks of words while the words allow (see
+    _block_values), then from one below() call per draw.
+    """
+    d = len(context)
+    values = _block_values(field, d, rng, zero_bias) if d >= _MIN_BLOCK_ATOMS else []
+    values += [
         field.zero if rng.below(zero_bias) == 0 else random_scalar(field, rng)
-        for _ in range(len(context))
+        for _ in range(d - len(values))
     ]
-    return AlgebraElement(field, context, values)
+    return AlgebraElement._raw(field, context, tuple(values))  # every draw is canonical
 
 
 def random_unit(field: Field, context: AtomSet, rng: SplitMix64) -> AlgebraElement:
@@ -69,6 +80,45 @@ def random_vector(
     return ModuleVector(
         tuple(random_element(field, context, rng, zero_bias) for _ in range(ambient_dim))
     )
+
+
+_MIN_BLOCK_ATOMS = 8  # below this many atoms the per-draw loop beats a block's fixed cost
+
+
+def _block_values(field: Field, count: int, rng: SplitMix64, zero_bias: int) -> list[Scalar]:
+    """The first of `count` values random_element draws, as many as whole blocks of words allow.
+
+    below(b) returns word % b for a word under one_word_limit(b) and draws
+    again otherwise.  So a block whose every word is under the limit of
+    every bound it serves needs no redraw: each draw is then the next word
+    reduced modulo its bound.  A block with a word past the limit is handed
+    back whole, and the per-draw loop draws from there.  Words a block drew
+    but its atoms did not use are handed back too.
+    """
+    zero = field.zero
+    if isinstance(field, PrimeField):
+        p, per_atom, bounds = field.p, 2, (zero_bias, field.p)
+    else:
+        per_atom, bounds = 3, (zero_bias, 21, 9)
+    limit = min(map(one_word_limit, bounds))  # 0 when a bound needs more than one word
+    values: list[Scalar] = []
+    while limit and len(values) < count:
+        atoms = min(count - len(values), _BLOCK // per_atom)
+        block = rng.words(atoms * per_atom)
+        if max(block) >= limit:
+            rng.rewind(len(block))
+            break
+        words = iter(block)
+        draw = words.__next__
+        if per_atom == 2:
+            values += [zero if draw() % zero_bias == 0 else draw() % p for _ in range(atoms)]
+        else:
+            values += [
+                zero if draw() % zero_bias == 0 else _RATIONALS[draw() % 21 * 9 + draw() % 9]
+                for _ in range(atoms)
+            ]
+        rng.rewind(words.__length_hint__())
+    return values
 
 
 def random_generator_set(

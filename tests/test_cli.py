@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import regmod
 import regmod.classification
 from regmod import parse_module_file, render_module_file
-from regmod.cli import main
+from regmod.cli import _print_json, main
 
 
 FIXTURE_DOC = """{
@@ -492,16 +492,27 @@ def test_long_piece_label_error_is_short(fixture_file, capsys):
     assert err.startswith("error: unknown atom label") and len(err) < 200
 
 
+def test_print_json_writes_an_answer_a_chunk_at_a_time(monkeypatch):
+    chunks: list[str] = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(chunks.append)}))
+    answer = {"images": [[[str(i % 5)] * 64 for _ in range(4)] for i in range(32)], "ok": True}
+    _print_json(answer)
+    text = "".join(chunks)
+    assert text == json.dumps(answer, indent=2) + "\n"
+    assert max(map(len, chunks)) < len(text) // 20  # no single write of the whole answer
+
+
 def test_cli_import_leaves_verify_and_randgen_unloaded():
-    # only what `import regmod.cli` itself adds counts, not what start-up hooks loaded before it
+    # only what `import regmod.cli` itself adds counts, not what start-up hooks loaded
+    # before it; -S keeps site's hooks out, so `array` shows if rng.py imports it
     code = (
         "import sys; before = set(sys.modules); import regmod.cli; "
-        "print(sorted({'regmod.verify', 'regmod.randgen', 'dataclasses', 'inspect'}"
+        "print(sorted({'regmod.verify', 'regmod.randgen', 'dataclasses', 'inspect', 'array'}"
         " & (set(sys.modules) - before)))"
     )
     src = str(Path(regmod.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"

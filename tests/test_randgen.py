@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from regmod import (
     AlgebraElement,
+    AtomSet,
+    ModuleVector,
     PrimeField,
     RationalField,
     atom_rank_profile,
@@ -24,6 +28,7 @@ from regmod.randgen import (
     random_field,
     random_generator_set,
     random_unit,
+    random_vector,
     recombined_copy,
 )
 from regmod.rng import SplitMix64
@@ -129,3 +134,90 @@ def test_randgen_outputs_golden():
             h.update(render_module_file(other).encode())
     assert branches == {True, False}  # both the appending and the zeroing branch ran
     assert h.hexdigest() == "e39fadac44600cc9da1e2d894f07482724921da4db2d4da570fa0eea5fc56bb2"
+
+
+# ---------------------------------------------------------------------------
+# Block draws: random_element and random_vector take their words a block at a
+# time, and must give what the per-draw loop below gives, value for value and
+# word for word.
+
+
+def _reference_scalar(field, rng):
+    if isinstance(field, PrimeField):
+        return rng.below(field.p)
+    return Fraction(rng.below(21) - 10, 1 + rng.below(9))
+
+
+def _reference_values(field, d, rng, zero_bias=3):
+    """The per-draw loop random_element ran before block draws, verbatim."""
+    return [
+        field.zero if rng.below(zero_bias) == 0 else _reference_scalar(field, rng)
+        for _ in range(d)
+    ]
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]  # 0 == Fraction(0), so compare the types too
+
+
+BLOCK_FIELDS = (
+    PrimeField(2),
+    PrimeField(5),
+    PrimeField(97),
+    PrimeField(2**61 - 1),
+    RationalField(),
+    PrimeField(2**63 + 29),  # least prime above 2^63: about half its words are redrawn
+    PrimeField(2**64 + 13),  # least prime above 2^64: each draw joins two words
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(BLOCK_FIELDS),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_block_draws_equal_the_per_draw_loop(field, d, n, zero_bias, seed):
+    context = AtomSet(default_labels(d))
+    rng, replay = SplitMix64(seed), SplitMix64(seed)
+    element = random_element(field, context, rng, zero_bias)
+    assert _typed(element.values) == _typed(_reference_values(field, d, replay, zero_bias))
+    vector = random_vector(field, context, n, rng, zero_bias)
+    assert [_typed(c.values) for c in vector.coords] == [
+        _typed(_reference_values(field, d, replay, zero_bias)) for _ in range(n)
+    ]
+    assert rng.next64() == replay.next64()
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_block_draws_span_several_blocks(field):
+    context = AtomSet(default_labels(5000))
+    rng, replay = SplitMix64(5000), SplitMix64(5000)
+    assert _typed(random_element(field, context, rng).values) == _typed(
+        _reference_values(field, 5000, replay)
+    )
+    assert rng.next64() == replay.next64()
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_draws_keep_a_wide_rows_peak_memory():
+    field, d = PrimeField(5), 65536
+    context = AtomSet(default_labels(d))
+    SplitMix64(0).words(1)  # the lane constants are built once per process, not per row
+    per_draw = _peak_bytes(
+        lambda: ModuleVector(
+            (AlgebraElement(field, context, _reference_values(field, d, SplitMix64(1))),)
+        )
+    )
+    blocks = _peak_bytes(lambda: random_vector(field, context, 1, SplitMix64(1)))
+    assert blocks <= 1.25 * per_draw

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from regmod.rng import SplitMix64
+from regmod.rng import SplitMix64, one_word_limit
 
 
 def test_reference_stream_seed_zero():
@@ -84,3 +84,33 @@ def test_spawn_is_deterministic_and_advances_parent():
     assert child.next64() == SplitMix64(probe.next64()).next64()
     # parent continues from its post-spawn state
     assert parent.next64() == probe.next64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("k", [0, 1, 2, 1023, 1024, 1025, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_words_are_next64_calls(seed, k):
+    r, replay = SplitMix64(seed), SplitMix64(seed)
+    words = r.words(k)
+    assert words == [replay.next64() for _ in range(k)]
+    after = r.next64()
+    assert after == replay.next64()
+    r.rewind(k + 1)
+    assert r.words(k + 1) == words + [after]
+
+
+@pytest.mark.parametrize("j", [0, 1, 7, 4096, 5000])
+def test_rewind_replays_the_last_words(j):
+    r = SplitMix64(3)
+    r.words(10)
+    drawn = r.words(j)
+    r.rewind(j)
+    assert r.words(j) == drawn
+    r.rewind(j + 10)
+    assert r.words(10 + j)[10:] == drawn
+
+
+def test_one_word_limit_is_where_below_redraws():
+    assert one_word_limit(3 << 62) == 3 << 62  # the redraw bound of the test above
+    assert one_word_limit(5) == 2**64 - 1
+    assert one_word_limit(1) == one_word_limit(2**64) == 2**64
+    assert one_word_limit(2**64 + 1) == one_word_limit(0) == 0
