@@ -8,6 +8,7 @@ denominator (the Fraction constructor guarantees that).
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -287,17 +288,8 @@ class RationalField(Record):
             return Fraction(v)
         raise ValidationError(f"{_quote(v)} is not an int or a Fraction")
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
+    # Fraction's own operators: no Python frame per scalar
+    add, sub, mul, neg = map(staticmethod, (operator.add, operator.sub, operator.mul, operator.neg))
 
     # Row kernels (see PrimeField): the engine's rows are lists of ints.  Its
     # elimination is fraction-free (Bareiss, "Sylvester's identity and
@@ -357,10 +349,7 @@ class RationalField(Record):
         """[parse(t) for t in texts]; a failure carries the first bad index."""
         return _each(self.parse, texts)
 
-    def render(self, v: Fraction) -> str:
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+    render = staticmethod(str)  # "n" for an integer, else "n/d" in lowest terms
 
     def describe(self) -> str:
         return "rational"

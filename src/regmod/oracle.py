@@ -1,21 +1,23 @@
 """Brute-force ground truth for the classification engine.
 
 Everything here answers questions one atom at a time with its own textbook
-linear algebra, sharing only the field layer and the record types with the
-engine, so a bug would have to be made twice to go unnoticed.  Its one
-elimination routine, `_reduce`, shares no code with `regular_eliminate` or
-`module_space.echelon`, and its pivot rule (first nonzero entry, column-major)
-is echelon's, not the engine's support-coverage maximization.
+linear algebra, sharing only the field and record types with the engine, so
+a bug would have to be made twice to go unnoticed.  Its one elimination
+routine, `_rank`, calls no field method and shares no arithmetic with
+`regular_eliminate` or `module_space.echelon`, and its pivot rule (first
+nonzero entry, column-major) is echelon's, not the engine's support-coverage
+maximization.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Sequence
 
 from .boolean_core import AtomSet, Idempotent
 from .classification import IsoMap, Passport, PassportEntry
 from .errors import ContextMismatchError, Record, ValidationError
-from .fields import Field, Scalar
+from .fields import Field, PrimeField, Scalar
 from .module_space import GeneratorSet
 
 
@@ -31,34 +33,33 @@ class RankProfile(Record):
         return self.ranks[label]
 
 
-def _reduce(work: list[list[Scalar]], cols: int, field: Field) -> list[int]:
-    """Gauss–Jordan in place on the first `cols` columns; returns the pivot columns."""
-    zero = field.zero
-    pivots: list[int] = []
-    for col in range(cols):
-        top = len(pivots)
-        if top == len(work):
-            break
-        for pivot_row in range(top, len(work)):  # column-major: first nonzero below the pivots
-            if work[pivot_row][col] != zero:
-                break
-        else:
-            continue  # no pivot in this column
-        work[top], work[pivot_row] = work[pivot_row], work[top]
-        inv = field.inv(work[top][col])
-        work[top] = [field.mul(inv, v) for v in work[top]]
-        for r, row in enumerate(work):
-            factor = row[col]
-            if r != top and factor != zero:
-                work[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(row, work[top])]
-        pivots.append(col)
-    return pivots
-
-
 def _rank(rows: Sequence[Sequence[Scalar]], field: Field) -> int:
-    """Row rank by classical elimination, pivots found column-major."""
-    work = [list(r) for r in rows]
-    return len(_reduce(work, len(work[0]) if work else 0, field))
+    """Row rank by fraction-free forward elimination, pivots found column-major.
+
+    Each ℚ row is scaled to integers by the lcm of its denominators.  Below a
+    pivot a, a row with entry f becomes a·row − f·pivot_row, then is reduced
+    mod p or divided by the gcd of its entries: invertible row operations.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]  # 1 over F_p
+    work = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        hits = [r for r in range(rank, len(work)) if work[r][col]]  # rows at or below the rank
+        if hits:  # the first is the pivot; after the swap the rest still index nonzero rows
+            work[rank], work[hits[0]] = work[hits[0]], work[rank]
+            pivot = work[rank]
+            a = pivot[col]
+            for r in hits[1:]:
+                f = work[r][col]
+                if p:
+                    work[r] = [(a * x - f * y) % p for x, y in zip(work[r], pivot)]
+                else:
+                    row = [a * x - f * y for x, y in zip(work[r], pivot)]
+                    g = gcd(*row) or 1  # 0 when the row vanished
+                    work[r] = [v // g for v in row]
+            rank += 1
+    return rank
 
 
 def atom_rank_profile(gens: GeneratorSet) -> RankProfile:

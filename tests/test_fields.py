@@ -82,6 +82,22 @@ def test_rational_parse_and_render():
         f.inv(Fraction(0))
 
 
+RATIONAL_SAMPLES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(12), Fraction(-12),
+                    Fraction(3, 4), Fraction(-5, 6), Fraction(10**40, 7)]
+
+
+def test_rational_scalar_ops_are_fractions_own():
+    f = RationalField()
+    for a in RATIONAL_SAMPLES:
+        assert f.neg(a) == -a
+        assert f.render(a) == str(a)
+        assert f.render(a) == (f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator))
+        for b in RATIONAL_SAMPLES:
+            assert (f.add(a, b), f.sub(a, b), f.mul(a, b)) == (a + b, a - b, a * b)
+            assert {type(f.add(a, b)), type(f.sub(a, b)), type(f.mul(a, b))} == {Fraction}
+    assert f.render(Fraction(10**40, 7)) == "1" + "0" * 40 + "/7"
+
+
 @given(st.integers(min_value=0, max_value=96), st.integers(min_value=1, max_value=96))
 def test_field_inverse_identity_f97(a, b):
     f = PrimeField(97)
