@@ -63,6 +63,8 @@ class Idempotent(Record):
     mask: int
 
     def __post_init__(self):
+        if not isinstance(self.mask, int):
+            raise ValidationError(f"mask must be an int, not {type(self.mask).__name__}")
         if not 0 <= self.mask <= self.context.full_mask:
             raise ValidationError(f"mask {self.mask:#x} outside atom set of size {len(self.context)}")
 

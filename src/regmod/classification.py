@@ -125,13 +125,13 @@ def regular_eliminate(
     The residual region, where a vanishes, re-queues with the matrix and
     the carried values projected onto it (`field.split_row`).  On g every
     other row k is reduced against the pivot row, the pivot row and column
-    go and rank is credited, all in one `field.pivot_reduce` call.  Over F_p
-    that is row_k − M[k][j]·(a⁻¹·row_i): one `mul_row` call scales the
-    pivot row, one `sub_mul` call builds the reduced matrix.  Over ℚ it is
-    the fraction-free step (a·row_k − M[k][j]·row_i) // prev of Bareiss
-    (Math. Comp. 22, 1968), exact by Sylvester's identity, and a becomes
-    the new prev; `field.start_row` scales each atom's first matrix to
-    integers by the lcm of its denominators, with prev 1.  Either way an
+    go and rank is credited, all in one `field.pivot_reduce` call.  Every
+    field takes the fraction-free update a·row_k − M[k][j]·row_i, with no
+    inverse of a: over F_p mod p, which on each atom is the Gaussian row
+    times the unit a; over ℚ divided exactly by prev, the atom's previous
+    pivot (Bareiss, Math. Comp. 22, 1968, by Sylvester's identity), and a
+    becomes the new prev; `field.start_row` scales each atom's first matrix
+    to integers by the lcm of its denominators, with prev 1.  Either way an
     entry is zero exactly where the Gaussian entry is, and only the zero
     pattern of a scalar is read here; the field's row methods do all
     arithmetic.  Each push shrinks either the matrix or the region, so the

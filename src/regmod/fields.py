@@ -29,6 +29,8 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 _FP_SCALAR = re.compile(r"[0-9]+")
 _RATIONAL_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _QUOTE_LIMIT = 20
+# Python converts ints of up to 640 digits to text under any limit: 2,048 bits stay below that
+_QUOTE_BITS = 2048
 # maps each ASCII digit byte to its value
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 # translate() tables that put 0xFF where a byte row has a zero, or where it has a nonzero
@@ -37,7 +39,14 @@ _FF_AT_NONZERO = bytes(1) + b"\xff" * 255
 
 
 def _quote(value: object) -> str:
-    """Offending input for an error message: its repr if short, else a prefix and its length."""
+    """Offending input for an error message: its repr if short, else a prefix and its length.
+
+    An int or Fraction of more than _QUOTE_BITS bits is described by its bit length, not converted.
+    """
+    if isinstance(value, (int, Fraction)):  # an int's denominator is 1
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > _QUOTE_BITS:
+            return f"<{type(value).__name__} of {bits} bits>"
     text = value if isinstance(value, str) else repr(value)
     if len(text) <= _QUOTE_LIMIT:
         return repr(value)
@@ -77,22 +86,13 @@ def _split_list(flat: list, pivot: list) -> tuple[list, list]:
     return list(compress(flat, hit * reps)), list(compress(flat, list(map(not_, hit)) * reps))
 
 
-class _ByteTables:
-    """translate() tables for F_p rows held one canonical residue per byte."""
-
-    __slots__ = ("product", "negated_product", "residue", "inverse")
-
-    def __init__(self, p: int):
-        products = [x * y % p for x in range(p) for y in range(p)]  # at index x·p + y
-        pad = bytes(256 - p * p)
-        self.product = bytes(products) + pad  # x·p + y → x·y mod p
-        self.negated_product = bytes(-v % p for v in products) + pad  # x·p + y → −x·y mod p
-        self.residue = bytes(k % p for k in range(256))  # k → k mod p
-        self.inverse = bytes([0] + [pow(a, -1, p) for a in range(1, p)]) + bytes(256 - p)
-
-
-# called only for the six primes with p² ≤ 256
-_byte_tables = lru_cache(maxsize=None)(_ByteTables)
+@lru_cache(maxsize=None)  # called only for the six primes with p² ≤ 256
+def _byte_tables(p: int) -> tuple[bytes, bytes, bytes]:
+    """translate() tables for F_p byte rows: x·p + y → x·y, x·p + y → −x·y, k → k, all mod p."""
+    products = [x * y % p for x in range(p) for y in range(p)]  # at index x·p + y
+    pad = bytes(256 - p * p)
+    residues = bytes(k % p for k in range(256))
+    return bytes(products) + pad, bytes(-v % p for v in products) + pad, residues
 
 
 def is_prime(n: int) -> bool:
@@ -101,7 +101,7 @@ def is_prime(n: int) -> bool:
     Larger n raise ValidationError: these witnesses cannot decide them.
     """
     if n >= _MR_EXACT_BELOW:
-        raise ValidationError(f"{_quote(str(n))} is too large for the exact primality test")
+        raise ValidationError(f"{_quote(n)} is too large for the exact primality test")
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -133,12 +133,14 @@ class PrimeField(Record):
     zero, one = 0, 1
 
     def __post_init__(self):
+        if not isinstance(self.p, int):
+            raise ValidationError(f"modulus {_quote(self.p)} is not an int")
         if not is_prime(self.p):
-            raise ValidationError(f"{self.p} is not prime")
+            raise ValidationError(f"{_quote(self.p)} is not prime")
 
     def check(self, v: Scalar) -> None:
         if not isinstance(v, int) or not 0 <= v < self.p:
-            raise ValidationError(f"{v!r} is not a canonical residue mod {self.p}")
+            raise ValidationError(f"{_quote(v)} is not a canonical residue mod {self.p}")
 
     def check_all(self, values: Sequence) -> None:
         """check() on every value; in an all-int row the least and greatest decide the rest."""
@@ -167,9 +169,9 @@ class PrimeField(Record):
 
     # Row kernels: the elimination engine's rows are sequences of residues of
     # `row_type`.  For p² ≤ 256 that is bytes, one residue per byte: then x·p + y
-    # and x + (−f·y mod p) stay below 256, so big-int arithmetic on a whole row
-    # never carries between bytes, and a 256-byte translate() table reduces
-    # every byte at once.  Larger p keep lists of ints.
+    # and the sum of two residues stay below 256, so big-int arithmetic on a
+    # whole row never carries between bytes, and a 256-byte translate() table
+    # maps every byte at once.  Larger p keep lists of ints.
 
     @property
     def row_type(self) -> type:
@@ -197,42 +199,26 @@ class PrimeField(Record):
         return self.row_type(values)
 
     def pivot_reduce(self, xs: Row, fs: Row, ys: Row, pivot: Row, carried: Row) -> Row:
-        """[sub(x, mul(f, y / a))]: Gaussian elimination below a pivot.
+        """[(a·x − f·y) mod p]: fraction-free elimination below a pivot.
 
-        The pivot a holds one unit per atom and repeats along ys, the pivot
-        row, which repeats along xs and fs.  F_p carries nothing after the
-        matrix, so `carried` is empty.  One `mul_row` call scales the pivot
-        row, one `sub_mul` call builds the reduced matrix.
+        The pivot a holds one unit per atom and repeats along xs; ys, the
+        pivot row, repeats along xs and fs.  On each atom the result is the
+        Gaussian row times the unit a, so no inverse is needed.  F_p carries
+        nothing after the matrix, so `carried` is empty.
         """
-        scaled = self.mul_row(ys, self.inv_row(pivot) * (len(ys) // len(pivot)))
-        return self.sub_mul(xs, fs, scaled * (len(xs) // max(len(ys), 1)))
-
-    def inv_row(self, row: Row) -> Row:
-        """[inv(a)] over a row."""
+        p, size = self.p, len(xs)
+        scales, ys = pivot * (size // len(pivot)), ys * (size // max(len(ys), 1))
         if self.row_type is not bytes:
-            return [self.inv(a) for a in row]
-        if 0 in row:
-            raise ValidationError("no inverse of 0")
-        return row.translate(_byte_tables(self.p).inverse)
+            return [(a * x - f * y) % p for a, x, f, y in zip(scales, xs, fs, ys)]
+        product, negated_product, residue = _byte_tables(p)
 
-    def mul_row(self, xs: Row, ys: Row) -> Row:
-        """[mul(x, y)] over two aligned rows."""
-        p = self.p
-        if self.row_type is not bytes:
-            return [x * y % p for x, y in zip(xs, ys)]
-        packed = int.from_bytes(xs, "little") * p + int.from_bytes(ys, "little")
-        return packed.to_bytes(len(xs), "little").translate(_byte_tables(p).product)
+        def looked_up(us: bytes, vs: bytes, table: bytes) -> int:
+            """[table[u·p + v]] over two aligned byte rows, packed into one int."""
+            packed = int.from_bytes(us, "little") * p + int.from_bytes(vs, "little")
+            return int.from_bytes(packed.to_bytes(size, "little").translate(table), "little")
 
-    def sub_mul(self, xs: Row, fs: Row, ys: Row) -> Row:
-        """[sub(x, mul(f, y))] over three aligned rows."""
-        p = self.p
-        if self.row_type is not bytes:
-            return [(x - f * y) % p for x, f, y in zip(xs, fs, ys)]
-        size, tables = len(xs), _byte_tables(p)
-        packed = int.from_bytes(fs, "little") * p + int.from_bytes(ys, "little")
-        negated = packed.to_bytes(size, "little").translate(tables.negated_product)
-        total = int.from_bytes(xs, "little") + int.from_bytes(negated, "little")
-        return total.to_bytes(size, "little").translate(tables.residue)
+        total = looked_up(scales, xs, product) + looked_up(fs, ys, negated_product)
+        return total.to_bytes(size, "little").translate(residue)
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -276,7 +262,7 @@ class RationalField(Record):
 
     def check(self, v: Scalar) -> None:
         if not isinstance(v, Fraction):
-            raise ValidationError(f"{v!r} is not a Fraction")
+            raise ValidationError(f"{_quote(v)} is not a Fraction")
 
     def check_all(self, values: Sequence) -> None:
         """check() on every value; the verdict depends on type only: one value per type decides."""

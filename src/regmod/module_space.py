@@ -19,7 +19,7 @@ from .errors import (
     Record,
     ZeroIdempotentError,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _quote
 from .regular_algebra import AlgebraElement, from_fibers, mix_scalars
 
 
@@ -59,6 +59,8 @@ class ModuleVector(Record):
     @classmethod
     def unit(cls, field: Field, context: AtomSet, ambient_dim: int, position: int) -> "ModuleVector":
         """Standard basis vector: one at the given coordinate, zero elsewhere."""
+        if position not in range(ambient_dim):
+            raise LengthMismatchError(f"no coordinate {_quote(position)} in dimension {ambient_dim}")
         one = AlgebraElement.one(field, context)
         zero = AlgebraElement.zeros(field, context)
         return cls(tuple(one if c == position else zero for c in range(ambient_dim)))

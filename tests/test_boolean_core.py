@@ -44,6 +44,12 @@ def test_idempotent_mask_bounds(ctx):
         Idempotent(ctx, -1)
 
 
+@pytest.mark.parametrize("mask", [0.5, 1.0, "1", None])
+def test_idempotent_requires_an_int_mask(ctx, mask):
+    with pytest.raises(ValidationError, match="mask must be an int"):
+        Idempotent(ctx, mask)
+
+
 def test_lattice_laws_exhaustive(ctx):
     # |Δ| = 4 is small enough to check every pair/triple identity outright
     es = every(ctx)

@@ -3,9 +3,10 @@
 `nested_eliminate` is the earlier `regular_eliminate`, kept here verbatim as
 a reference: each matrix entry is its own list of scalars, reduced with one
 `field.sub`/`field.mul` call per scalar.  The flat engine must produce the
-same leaves and the same trace on every input, with one field row-kernel
-call per pivot step instead: over F_p one `mul_row` and one `sub_mul` call,
-over ℚ one fraction-free `pivot_reduce` call on integer rows.
+same leaves and the same trace on every input, with one fraction-free
+`pivot_reduce` call per pivot step instead, `a·x − f·y` for each entry
+below the pivot: reduced mod p over F_p, with no inverse, and divided
+exactly by the previous pivot over ℚ's integer rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from regmod import (
     PivotStep,
     PrimeField,
     RationalField,
-    ValidationError,
     parse_module_file,
     regular_eliminate,
 )
@@ -134,7 +134,7 @@ def _pivot_reduce_per_scalar(field, xs, fs, ys, pivot, carried):
     """pivot_reduce one scalar at a time: over F_p with field ops, over ℚ the Bareiss step."""
     ys, w = ys * (len(xs) // max(len(ys), 1)), len(pivot)
     if isinstance(field, PrimeField):
-        return [field.sub(x, field.mul(f, field.mul(y, field.inv(pivot[t % w]))))
+        return [field.sub(field.mul(pivot[t % w], x), field.mul(f, y))
                 for t, (x, f, y) in enumerate(zip(xs, fs, ys))]
     return [(pivot[t % w] * x - f * y) // carried[t % w]
             for t, (x, f, y) in enumerate(zip(xs, fs, ys))] + pivot
@@ -150,19 +150,6 @@ def test_row_kernels_equal_per_scalar_ops(field, data):
     xs, fs, ys = (data.draw(st.lists(_row_scalars(field), min_size=length, max_size=length))
                   for _ in range(3))
     assert list(row(xs)) == xs
-    kernel_rows = []
-    if isinstance(field, PrimeField):  # over ℚ, pivot_reduce does all the engine's arithmetic
-        products = field.mul_row(row(xs), row(ys))
-        assert products == row([field.mul(x, y) for x, y in zip(xs, ys)])
-        updated = field.sub_mul(row(xs), row(fs), row(ys))
-        assert updated == row([field.sub(x, field.mul(f, y)) for x, f, y in zip(xs, fs, ys)])
-        units = [y for y in ys if y != 0]
-        inverse = field.inv_row(row(units))
-        assert inverse == row([field.inv(y) for y in units])
-        if len(units) < length:
-            with pytest.raises(ValidationError):
-                field.inv_row(row(ys))
-        kernel_rows += [products, updated, inverse]
     cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=length), max_size=3)))
     parts = [row(xs[a:b]) for a, b in zip([0] + cuts, cuts + [length])]
     joined = field.join_rows(parts)
@@ -191,17 +178,13 @@ def test_row_kernels_equal_per_scalar_ops(field, data):
     else:  # each atom's scalars times the lcm of their denominators, then w previous pivots of 1
         scales = [lcm(*(v.denominator for v in values[t::w])) for t in range(w)]
         assert first == [int(v * scales[t % w]) for t, v in enumerate(values)] + [1] * w
-    for got in kernel_rows + [joined, hit, miss, reduced, first]:
+    for got in (joined, hit, miss, reduced, first):
         assert type(got) is row and {type(v) for v in got} <= {int}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_row_kernels_on_empty_rows(field):
     empty, one = field.row_type(), field.row_type([1])
-    if isinstance(field, PrimeField):
-        assert field.mul_row(empty, empty) == empty
-        assert field.sub_mul(empty, empty, empty) == empty
-        assert field.inv_row(empty) == empty
     assert field.join_rows([]) == field.join_rows([empty, empty]) == empty
     assert field.split_row(empty, one) == (empty, empty)
     # a one-column matrix leaves no entries; ℚ still carries the pivot as the previous pivot
@@ -211,10 +194,8 @@ def test_row_kernels_on_empty_rows(field):
 
 
 def test_engine_makes_one_kernel_call_per_pivot_step(capsys, monkeypatch):
-    assert main(["gen", "--seed", "1", "--atoms", "1024", "--ambient", "8", "--gens", "8",
-                 "--field", "fp:5"]) == 0
-    gens = parse_module_file(capsys.readouterr().out)
-    calls = {"mul_row": 0, "sub_mul": 0, "mul": 0, "sub": 0}
+    """One pivot_reduce call per step, and no per-scalar call: no inverse on byte or list rows."""
+    calls = {"pivot_reduce": 0, "mul": 0, "sub": 0, "inv": 0}
 
     def counting(name):
         original = getattr(PrimeField, name)
@@ -226,9 +207,14 @@ def test_engine_makes_one_kernel_call_per_pivot_step(capsys, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(PrimeField, name, counting(name))
-    _, trace = regular_eliminate(gens, gens.context.full())
-    assert len(trace.steps) == 608
-    assert calls == {"mul_row": 608, "sub_mul": 608, "mul": 0, "sub": 0}
+    for p, steps in ((5, 608), (97, 140), (2**61 - 1, 128)):
+        assert main(["gen", "--seed", "1", "--atoms", "1024", "--ambient", "8", "--gens", "8",
+                     "--field", f"fp:{p}"]) == 0
+        gens = parse_module_file(capsys.readouterr().out)
+        calls.update(dict.fromkeys(calls, 0))
+        _, trace = regular_eliminate(gens, gens.context.full())
+        assert len(trace.steps) == steps
+        assert calls == {"pivot_reduce": steps, "mul": 0, "sub": 0, "inv": 0}, p
 
 
 def test_rational_engine_makes_one_step_kernel_call_per_pivot_step(capsys, monkeypatch):

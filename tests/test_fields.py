@@ -42,6 +42,47 @@ def test_prime_field_rejects_composite():
         PrimeField(1)
 
 
+@pytest.mark.parametrize("modulus", [5.0, Fraction(5), "5", None])
+def test_prime_field_requires_an_int_modulus(modulus):
+    with pytest.raises(ValidationError, match="is not an int"):
+        PrimeField(modulus)
+
+
+@pytest.mark.parametrize("value", [10**4000, -(10**5000), Fraction(1, 5 * 10**5000)],
+                         ids=["10^4000", "-10^5000", "1/(5*10^5000)"])
+def test_error_text_describes_long_numbers_by_bit_length(value):
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    assert _quote(value) == f"<{type(value).__name__} of {bits} bits>"
+
+
+@pytest.mark.parametrize("build, quoted", [
+    (lambda: PrimeField(10**5000), "<int of 16610 bits> is too large"),
+    (lambda: PrimeField(-(10**5000)), "<int of 16610 bits> is not prime"),
+    (lambda: AlgebraElement(PrimeField(5), AtomSet(("a",)), (10**4000,)), "<int of 13288 bits>"),
+    (lambda: AlgebraElement(PrimeField(5), AtomSet(("a",)), (10**5000,)), "<int of 16610 bits>"),
+    (lambda: AlgebraElement(RationalField(), AtomSet(("a",)), (10**5000,)), "<int of 16610 bits>"),
+    (lambda: PrimeField(5).coerce(Fraction(1, 5 * 10**5000)), "<Fraction of 16612 bits>"),
+], ids=["prime-huge", "prime-negative", "check-4000-digits", "check-5000-digits", "rational-check",
+        "coerce-fraction"])
+def test_error_text_about_long_numbers_is_bounded(build, quoted):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert quoted in str(info.value) and len(str(info.value)) < 100
+
+
+def test_error_text_about_short_numbers_is_unchanged():
+    # just below the cut, an int is still quoted by a prefix of its digits
+    assert _quote(2**2047) == f"{str(2**2047)[:20]!r}... (617 characters)"
+    with pytest.raises(ValidationError, match=r"^4 is not prime$"):
+        PrimeField(4)
+    with pytest.raises(ValidationError, match=r"^'33170440646798873859'\.\.\. \(25 characters\) is too"):
+        PrimeField(3317044064679887385961981)
+    with pytest.raises(ValidationError, match=r"^7 is not a canonical residue mod 5$"):
+        PrimeField(5).check(7)
+    with pytest.raises(ValidationError, match=r"^3 is not a Fraction$"):
+        RationalField().check(3)
+
+
 def test_prime_field_ops():
     f = PrimeField(5)
     assert f.add(3, 4) == 2

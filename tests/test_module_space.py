@@ -178,6 +178,12 @@ def test_fiber_and_unit(f5, ctx):
     assert u.fiber(2) == (0, 1, 0)
 
 
+def test_unit_requires_a_position_in_range(f5, ctx):
+    for position in (3, 5, -1, "1", None, 10**5000):
+        with pytest.raises(LengthMismatchError, match="no coordinate"):
+            ModuleVector.unit(f5, ctx, 3, position)
+
+
 # -- randomized properties ---------------------------------------------------
 
 small = st.integers(min_value=0, max_value=4)
