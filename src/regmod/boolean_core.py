@@ -11,6 +11,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatchError, NotMinorantError, Record, ValidationError
+from .fields import _quote
 
 
 class AtomSet(Record):
@@ -66,7 +67,7 @@ class Idempotent(Record):
         if not isinstance(self.mask, int):
             raise ValidationError(f"mask must be an int, not {type(self.mask).__name__}")
         if not 0 <= self.mask <= self.context.full_mask:
-            raise ValidationError(f"mask {self.mask:#x} outside atom set of size {len(self.context)}")
+            raise ValidationError(f"mask {_quote(self.mask)} outside atom set of size {len(self.context)}")
 
     def _require_same_context(self, other: "Idempotent") -> None:
         if self.context != other.context:

@@ -12,9 +12,9 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import floordiv, mul, not_, sub
+from operator import add, attrgetter, floordiv, mul, not_, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import Record, ValidationError
@@ -36,6 +36,8 @@ _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 # translate() tables that put 0xFF where a byte row has a zero, or where it has a nonzero
 _FF_AT_ZERO = b"\xff" + bytes(255)
 _FF_AT_NONZERO = bytes(1) + b"\xff" * 255
+# Fraction's own slots, read in C: its public numerator and denominator are Python properties
+_NUMERATOR, _DENOMINATOR = attrgetter("_numerator"), attrgetter("_denominator")
 
 
 def _quote(value: object) -> str:
@@ -220,6 +222,11 @@ class PrimeField(Record):
         total = looked_up(scales, xs, product) + looked_up(fs, ys, negated_product)
         return total.to_bytes(size, "little").translate(residue)
 
+    def combine_rows(self, coefficient_rows: Sequence, value_rows: Sequence) -> list[int]:
+        """[Σ_k a_k[q]·x_k[q] mod p] over the atoms q: int products summed, one % p each."""
+        p = self.p
+        return [s % p for s in map(sum, zip(*map(map, repeat(mul), coefficient_rows, value_rows)))]
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ValidationError("no inverse of 0")
@@ -313,6 +320,21 @@ class RationalField(Record):
         products = map(mul, fs, ys * (len(xs) // max(len(ys), 1)))
         scaled = map(mul, pivot * reps, xs)
         return list(map(floordiv, map(sub, scaled, products), prev * reps)) + pivot
+
+    def combine_rows(self, coefficient_rows: Sequence, value_rows: Sequence) -> list[Fraction]:
+        """[Σ_k a_k[q]·x_k[q]] over the atoms q of one or more rows, one Fraction each.
+
+        Each sum n/d is kept as two ints: adding a term t/u gives
+        (n·u + t·d)/(d·u), so only the last step reduces (Knuth, TAOCP vol. 2,
+        §4.5.1).
+        """
+        nums, dens = [0] * len(value_rows[0]), [1] * len(value_rows[0])
+        for coefficients, values in zip(coefficient_rows, value_rows):
+            term_dens = list(map(mul, map(_DENOMINATOR, coefficients), map(_DENOMINATOR, values)))
+            term_nums = map(mul, map(_NUMERATOR, coefficients), map(_NUMERATOR, values))
+            nums = list(map(add, map(mul, nums, term_dens), map(mul, term_nums, dens)))
+            dens = list(map(mul, dens, term_dens))
+        return list(map(Fraction, nums, dens))
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

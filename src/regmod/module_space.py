@@ -17,6 +17,7 @@ from .errors import (
     LengthMismatchError,
     NotFaithfulError,
     Record,
+    ValidationError,
     ZeroIdempotentError,
 )
 from .fields import Field, Scalar, _quote
@@ -118,6 +119,8 @@ class GeneratorSet(Record):
     gens: tuple[ModuleVector, ...]
 
     def __post_init__(self):
+        if type(self.ambient_dim) is not int:  # no bool, float or Fraction
+            raise ValidationError(f"ambient dimension {_quote(self.ambient_dim)} is not an int")
         if self.ambient_dim < 1:
             raise LengthMismatchError("ambient dimension must be at least 1")
         for g in self.gens:
@@ -232,16 +235,25 @@ def mix_vectors(p: PartitionOfUnity, xs: Sequence[ModuleVector]) -> ModuleVector
 
 
 def combine(gens: Sequence[ModuleVector], coefficients: Sequence[AlgebraElement]) -> ModuleVector:
-    """The algebra-linear combination sum(coefficients[k] * gens[k])."""
+    """The algebra-linear combination sum(coefficients[k] * gens[k]).
+
+    Each coordinate is one call of the field's combine_rows, whose scalars
+    are canonical, so the elements are built without a second check.
+    """
     if len(gens) != len(coefficients):
         raise LengthMismatchError("one coefficient per generator required")
-    acc = None
-    for g, a in zip(gens, coefficients):
-        term = g.scale(a)
-        acc = term if acc is None else acc + term
-    if acc is None:
+    if not gens:
         raise LengthMismatchError("cannot combine an empty family without a target space")
-    return acc
+    for g, a in zip(gens, coefficients):
+        a._require_same_context(g.coords[0])
+        gens[0]._require_same_space(g)
+    field, context = gens[0].field, gens[0].context
+    rows = [a.values for a in coefficients]
+    columns = ([g.coords[c].values for g in gens] for c in range(gens[0].ambient_dim))
+    return ModuleVector._raw(tuple(
+        AlgebraElement._raw(field, context, tuple(field.combine_rows(rows, column)))
+        for column in columns
+    ))
 
 
 class MembershipResult(Record):

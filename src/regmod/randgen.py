@@ -165,14 +165,14 @@ def apply_invertible_op(gens: GeneratorSet, rng: SplitMix64) -> GeneratorSet:
         rows[i], rows[j] = rows[j], rows[i]
     elif op == 1:
         i = rng.below(m)
-        rows[i] = rows[i].scale(random_unit(gens.field, gens.context, rng))
+        rows[i] = combine([rows[i]], [random_unit(gens.field, gens.context, rng)])
     elif op == 2:
         i = rng.below(m)
         j = rng.below(m - 1)
         if j >= i:
             j += 1
         a = random_element(gens.field, gens.context, rng)
-        rows[i] = rows[i] + rows[j].scale(a)
+        rows[i] = combine([rows[i], rows[j]], [AlgebraElement.one(gens.field, gens.context), a])
     else:
         rows.append(combine(rows, [random_element(gens.field, gens.context, rng) for _ in rows]))
     return GeneratorSet(gens.field, gens.context, gens.ambient_dim, tuple(rows))

@@ -44,6 +44,12 @@ def test_idempotent_mask_bounds(ctx):
         Idempotent(ctx, -1)
 
 
+def test_idempotent_range_message_is_bounded():
+    with pytest.raises(ValidationError, match="^mask <int of 100001 bits> outside") as info:
+        Idempotent(AtomSet(("a", "b")), 2**100000)
+    assert len(str(info.value)) < 100
+
+
 @pytest.mark.parametrize("mask", [0.5, 1.0, "1", None])
 def test_idempotent_requires_an_int_mask(ctx, mask):
     with pytest.raises(ValidationError, match="mask must be an int"):

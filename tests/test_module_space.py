@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from regmod import (
     PartitionOfUnity,
     PrimeField,
     RationalField,
+    ValidationError,
     ZeroIdempotentError,
     combine,
     full_support_element,
@@ -26,7 +29,9 @@ from regmod import (
 )
 from regmod.module_space import echelon, fiber_rank, kernel_sample, solve_linear
 from regmod.oracle import _rank
+from regmod.randgen import random_element, random_vector
 from regmod.regular_algebra import from_fibers
+from regmod.rng import SplitMix64
 
 
 @pytest.fixture
@@ -178,10 +183,118 @@ def test_fiber_and_unit(f5, ctx):
     assert u.fiber(2) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("ambient_dim", [2.0, True, Fraction(2), "2", None])
+def test_generator_set_requires_an_int_ambient_dim(f5, ctx, ambient_dim):
+    with pytest.raises(ValidationError, match="is not an int$"):
+        GeneratorSet(f5, ctx, ambient_dim, ())
+
+
 def test_unit_requires_a_position_in_range(f5, ctx):
     for position in (3, 5, -1, "1", None, 10**5000):
         with pytest.raises(LengthMismatchError, match="no coordinate"):
             ModuleVector.unit(f5, ctx, 3, position)
+
+
+# -- combine: one row kernel call per coordinate ------------------------------
+
+
+COMBINE_FIELDS = (
+    PrimeField(2), PrimeField(5), PrimeField(13), PrimeField(17), PrimeField(97),
+    PrimeField(2**61 - 1), RationalField(),
+)
+
+
+def _scalars(field):
+    """Canonical scalars, with zero, p − 1 (that is, −1) and negative rationals drawn often."""
+    if isinstance(field, PrimeField):
+        return st.sampled_from((0, field.p - 1)) | st.integers(min_value=0, max_value=field.p - 1)
+    return st.sampled_from((Fraction(0), Fraction(-1))) | st.fractions(max_denominator=10**12)
+
+
+def _per_atom_sum(gens, coefficients, field):
+    """sum(coefficients[k] * gens[k]) coordinate by coordinate, one field.mul and add per term."""
+    d = len(gens[0].context)
+    coords = []
+    for c in range(gens[0].ambient_dim):
+        values = []
+        for q in range(d):
+            acc = field.zero
+            for g, a in zip(gens, coefficients):
+                acc = field.add(acc, field.mul(a.values[q], g.coords[c].values[q]))
+            values.append(acc)
+        coords.append(values)
+    return coords
+
+
+@pytest.mark.parametrize("field", COMBINE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combine_equals_the_per_atom_sum_of_products(field, data):
+    d = data.draw(st.integers(min_value=1, max_value=6))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    ctx = AtomSet(tuple(f"q{i + 1}" for i in range(d)))
+    row = st.lists(_scalars(field), min_size=d, max_size=d)
+    zero_row = st.just([field.zero] * d)
+
+    def element(rows):
+        return AlgebraElement(field, ctx, tuple(data.draw(rows)))
+
+    gens = [ModuleVector(tuple(element(row) for _ in range(n))) for _ in range(m)]
+    coefficients = [element(row | zero_row) for _ in range(m)]
+    x = combine(gens, coefficients)
+    assert [list(c.values) for c in x.coords] == _per_atom_sum(gens, coefficients, field)
+    for v in (v for c in x.coords for v in c.values):
+        if isinstance(field, PrimeField):
+            assert type(v) is int and 0 <= v < field.p
+        else:
+            assert type(v) is Fraction
+
+
+@pytest.mark.parametrize(
+    "gens, coefficients, error, message",
+    [
+        ("x y", "a a", ContextMismatchError, "vectors in different module spaces"),
+        ("x", "b", ContextMismatchError, "elements over different algebras"),
+        ("x y", "a b", ContextMismatchError, "elements over different algebras"),
+        ("", "", LengthMismatchError, "cannot combine an empty family without a target space"),
+        ("x x", "a", LengthMismatchError, "one coefficient per generator required"),
+    ],
+    ids=["spaces", "field", "field-first", "empty", "lengths"],
+)
+def test_combine_errors(f5, ctx, gens, coefficients, error, message):
+    named = {
+        "x": vec(f5, ctx, (1, 2, 3)),
+        "y": vec(f5, ctx, (1, 2, 3), (0, 0, 0)),
+        "a": AlgebraElement.constant(f5, ctx, 2),
+        "b": AlgebraElement.constant(PrimeField(7), ctx, 2),
+    }
+    with pytest.raises(error, match=f"^{message}$"):
+        combine([named[k] for k in gens.split()], [named[k] for k in coefficients.split()])
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(2**61 - 1), RationalField()], ids=str)
+def test_combine_makes_no_per_scalar_call(field, monkeypatch):
+    ctx = AtomSet(tuple(f"q{i + 1}" for i in range(16)))
+    rng = SplitMix64(4)
+    gens = [random_vector(field, ctx, 3, rng) for _ in range(5)]
+    coefficients = [random_element(field, ctx, rng) for _ in gens]
+    expected = _per_atom_sum(gens, coefficients, field)
+    calls = dict.fromkeys(("add", "sub", "mul", "neg"), 0)
+
+    def counting(name):
+        original = getattr(field, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(type(field), name, counting(name))
+    x = combine(gens, coefficients)
+    assert calls == dict.fromkeys(calls, 0)
+    assert [list(c.values) for c in x.coords] == expected
 
 
 # -- randomized properties ---------------------------------------------------

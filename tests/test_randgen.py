@@ -17,7 +17,8 @@ from regmod import (
     atom_rank_profile,
     passport,
 )
-from regmod.module_file import render_module_file
+from regmod.cli import main
+from regmod.module_file import parse_module_file, render_module_file
 from regmod.randgen import (
     ACCEPTANCE_FIELDS,
     apply_invertible_op,
@@ -134,6 +135,55 @@ def test_randgen_outputs_golden():
             h.update(render_module_file(other).encode())
     assert branches == {True, False}  # both the appending and the zeroing branch ran
     assert h.hexdigest() == "e39fadac44600cc9da1e2d894f07482724921da4db2d4da570fa0eea5fc56bb2"
+
+
+# sha256 of render_module_file over three (seed, atoms, ambient, gens) shapes:
+# of the module `gen` draws, of its recombined_copy and of its
+# perturb_rank_profile, each drawn from SplitMix64(seed)
+GENERATOR_SHAPES = ((1, 24, 5, 4), (2, 16, 3, 6), (3, 9, 4, 4))
+GENERATOR_PINS = {
+    "fp:2": (
+        "9e9f96fec9963fb72dde2a1bd0041697204643db9738fbf15ee9f120484a12eb",
+        "f2e12d352d02361cc728fdd403dac7a0368856c1dc2089d991bc832ebdf60f83",
+        "1897090ab203d3b3868c79b5b4d0a256e88da0d4abcda4a0950dda46267ec551",
+    ),
+    "fp:5": (
+        "f0eea0acdbe9e908d7d772c9834bb984ce387ed4515d67ea0b96d90f34f9b9e2",
+        "2a6c4ce9d14c4f6d0bbb284d793a15026bd7b072e1390bf6270e730c68231971",
+        "9ffecff161e85663a6448d8ff0447d0e95219540812248306165cc2b9d780176",
+    ),
+    "fp:97": (
+        "181a7edcb0a6a65a7012690a3e40d5fa98b45e7b4038520aa534913e21e7d46f",
+        "d86b3493d4d9da3e3c5793b2ee28254d1d46e34c7452b3db189acad10c824c83",
+        "55cb194cf03fedcbeace1384a088a65eb501e5f4dc74e869adc1994fa2ee9cc6",
+    ),
+    "fp:2305843009213693951": (
+        "a4a658a48b58f9b9bc5dac0d653acf5a752c6f5be38b1d2b4a0c82199199d507",
+        "1383872030d72906c1d9a95ce88b8f9d19e2d43160503382849d74ba4adda669",
+        "922923ef431846e0d370b5c944f04a8cbc0b26f9d7a11aaef4f33dd812397682",
+    ),
+    "rational": (
+        "f155158d996f138a959edf992afb29878dda03079dd40df32b53737b616f0a75",
+        "7a843c4fa994da7f63fa2c6e25bb8fe713bd50dfbfdded111a757897d2f6fa14",
+        "15b122f66499947f958c3bf4cbcc424d06bf5b515400a8c947d4157f1581fb89",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", GENERATOR_PINS)
+def test_generated_modules_are_pinned(spec, capsys):
+    digests = [sha256() for _ in range(3)]
+    for seed, d, n, m in GENERATOR_SHAPES:
+        assert main(["gen", "--seed", str(seed), "--atoms", str(d), "--ambient", str(n),
+                     "--gens", str(m), "--field", spec]) == 0
+        text = capsys.readouterr().out
+        gens = parse_module_file(text)
+        rng = SplitMix64(seed)
+        outputs = (text, render_module_file(recombined_copy(gens, rng)),
+                   render_module_file(perturb_rank_profile(gens, rng)))
+        for h, out in zip(digests, outputs):
+            h.update(out.encode())
+    assert tuple(h.hexdigest() for h in digests) == GENERATOR_PINS[spec]
 
 
 # ---------------------------------------------------------------------------
