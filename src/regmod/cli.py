@@ -9,6 +9,7 @@ or inconsistent input).  `--json` switches the structured commands to JSON.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -22,7 +23,7 @@ from .classification import (
 )
 from .errors import ParseError, RegmodError, ValidationError
 from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
-from .module_file import _dump, parse_module_file, render_module_file
+from .module_file import _dump, module_document, parse_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
 from .rng import SplitMix64
 
@@ -255,7 +256,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         random_vector(field, context, args.ambient, rng) for _ in range(args.gens)
     )
     gens = GeneratorSet(field, context, args.ambient, vectors)
-    sys.stdout.write(render_module_file(gens))
+    _print_json(module_document(gens))
     return 0
 
 
@@ -337,5 +338,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The one process entry (`regmod`, `python -m regmod.cli`): exit with main()'s code.
+
+    The process ends at once, so `gc.freeze()` spares finalization's collections a walk
+    over the whole heap; stdout and stderr are still flushed, atexit handlers still run
+    and the exit status is kept. Tests and library callers use main(), which never freezes.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,7 +12,7 @@ ValidationError.
 
 The same module owns the writer, `_dump`, behind every JSON text regmod
 emits: `dump_json` returns a module file's text whole, and the CLI streams
-its `--json` answers to stdout through it a chunk at a time.
+`gen`'s file and its `--json` answers to stdout through it a chunk at a time.
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ def parse_module_file(text: str) -> GeneratorSet:
     return GeneratorSet(field, context, ambient, tuple(vectors))
 
 
-def _field_payload(field: Field) -> dict:
-    if isinstance(field, PrimeField):
-        return {"kind": "fp", "p": field.p}
-    return {"kind": "rational"}
-
-
 def dump_json(value: object) -> str:
     """Exactly the text `json.dumps` writes for `value` with an indent of 2,
     for dicts with str keys, lists, str, int, bool and None; anything else
@@ -181,13 +175,17 @@ def _dump(value: object, newline: str, write: Callable[[str], object]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def render_module_file(gens: GeneratorSet) -> str:
-    """Canonical document text; parse_module_file inverts it exactly."""
-    render = gens.field.render
-    doc = {
-        "field": _field_payload(gens.field),
+def module_document(gens: GeneratorSet) -> dict:
+    """The canonical document for `_dump`, each scalar row a lazy `map(render, values)`."""
+    field = gens.field
+    return {
+        "field": {"kind": "fp", "p": field.p} if isinstance(field, PrimeField) else {"kind": "rational"},
         "atoms": list(gens.context.labels),
         "ambient_dim": gens.ambient_dim,
-        "generators": [[map(render, coord.values) for coord in g.coords] for g in gens.gens],
+        "generators": [[map(field.render, coord.values) for coord in g.coords] for g in gens.gens],
     }
-    return dump_json(doc) + "\n"
+
+
+def render_module_file(gens: GeneratorSet) -> str:
+    """Canonical document text; parse_module_file inverts it exactly."""
+    return dump_json(module_document(gens)) + "\n"

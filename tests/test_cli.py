@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -500,6 +501,59 @@ def test_print_json_writes_an_answer_a_chunk_at_a_time(monkeypatch):
     text = "".join(chunks)
     assert text == json.dumps(answer, indent=2) + "\n"
     assert max(map(len, chunks)) < len(text) // 20  # no single write of the whole answer
+
+
+def test_gen_writes_its_module_file_a_chunk_at_a_time(monkeypatch):
+    chunks: list[str] = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(chunks.append)}))
+    assert main(["gen", "--seed", "1", "--atoms", "64", "--ambient", "4", "--gens", "8",
+                 "--field", "fp:5"]) == 0
+    text = "".join(chunks)
+    assert text == render_module_file(parse_module_file(text))
+    assert max(map(len, chunks)) < len(text) // 20  # no single write of the whole file
+
+
+# A child that runs regmod.cli as __main__, as `python -m regmod.cli` does, and
+# reports from an atexit handler, after the CLI has exited, whether the heap is frozen.
+FREEZE_PROBE = (
+    "import atexit, gc, runpy; "
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+    "runpy.run_module('regmod.cli', run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["passport", "{m}"], 0),
+    (["basis", "{m}", "--piece", "q1,q2"], 1),
+    (["passport", "{missing}"], 2),
+    (["passport"], 2),  # an argparse usage error
+])
+def test_the_process_entry_freezes_the_heap_on_every_exit(fixture_file, tmp_path, argv, code):
+    argv = [arg.format(m=fixture_file, missing=tmp_path / "missing.json") for arg in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(Path(regmod.__file__).resolve().parents[1])},
+    )
+    assert run.returncode == code
+    assert run.stdout.splitlines()[-1] == "frozen: True"
+
+
+def test_main_leaves_the_collector_unfrozen(fixture_file, capsys):
+    before = gc.get_freeze_count()
+    assert main(["passport", fixture_file]) == 0
+    assert main(["basis", fixture_file, "--piece", "q1,q2"]) == 1
+    assert main(["passport", fixture_file + ".missing"]) == 2
+    with pytest.raises(SystemExit):
+        main(["passport"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_installed_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert [line for line in scripts.splitlines() if line.startswith("regmod ")] == [
+        'regmod = "regmod.cli:run"'
+    ]
 
 
 def test_cli_import_leaves_verify_and_randgen_unloaded():

@@ -7,6 +7,10 @@ profile.  The digests pin every passport, isomorphism map, basis and
 membership answer byte for byte, in text and in `--json`, so a change to the
 linear algebra underneath must leave them all unchanged.
 
+Two corpora are also answered by `python -m regmod.cli` child processes, which
+must write the same stdout and exit code and the same stderr as the in-process
+call; so must an argparse usage error and `--help`.
+
 `python tests/test_golden_cli.py` prints both tables for the current code.
 """
 
@@ -15,10 +19,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import regmod
 from regmod import GeneratorSet, atom_rank_profile, combine, parse_module_file, render_module_file
 from regmod.cli import main
 from regmod.randgen import perturb_rank_profile, random_element, recombined_copy
@@ -30,11 +37,20 @@ AMBIENT, GENS = 5, 4
 CORPORA = tuple(f"{tag}-d{d}" for tag, _ in FIELDS for d in SIZES)
 
 
-def _run(argv: list[str]) -> tuple[str, int]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[str, int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return out.getvalue(), code
+    return out.getvalue(), code, err.getvalue()
+
+
+def _child(argv: list[str]) -> tuple[bytes, int, str]:
+    """`python -m regmod.cli <argv>` as a child process: (stdout, exit code, stderr).
+    COLUMNS fixes the width argparse wraps its help to."""
+    env = {"PYTHONPATH": str(Path(regmod.__file__).resolve().parents[1]), "COLUMNS": "80"}
+    run = subprocess.run([sys.executable, "-m", "regmod.cli", *argv],
+                         capture_output=True, env=env, timeout=120)
+    return run.stdout, run.returncode, run.stderr.decode("utf-8")
 
 
 def _pieces(gens: GeneratorSet) -> tuple[str, str]:
@@ -55,8 +71,8 @@ def build_corpus(name: str, directory: Path) -> tuple[dict[str, str], dict[str, 
     d = int(d)
     field_arg = dict(FIELDS)[tag]
     seed = 1000 * (CORPORA.index(name) + 1)
-    text, code = _run(["gen", "--seed", str(seed), "--atoms", str(d), "--ambient",
-                       str(AMBIENT), "--gens", str(GENS), "--field", field_arg])
+    text, code, _ = _run(["gen", "--seed", str(seed), "--atoms", str(d), "--ambient",
+                          str(AMBIENT), "--gens", str(GENS), "--field", field_arg])
     assert code == 0
     a = parse_module_file(text)
     # the last generator lives on the upper half only, so two ranks appear
@@ -106,7 +122,7 @@ def answers(name: str, directory: Path) -> tuple[dict[str, str], dict[str, tuple
     digests, commands = build_corpus(name, directory)
     out = {}
     for key, argv in commands.items():
-        stdout, code = _run(argv)
+        stdout, code, _ = _run(argv)
         out[key] = (hashlib.sha256(stdout.encode("utf-8")).hexdigest(), code)
     return digests, out
 
@@ -117,6 +133,26 @@ def test_golden_cli(name, tmp_path):
     assert digests == INPUTS[name], "the generated inputs changed"
     wrong = sorted(key for key in GOLDEN[name] if got.get(key) != GOLDEN[name][key])
     assert not wrong and got.keys() == GOLDEN[name].keys(), f"changed answers: {wrong}"
+
+
+@pytest.mark.parametrize("name", ("f5-d16", "q-d16"))
+def test_golden_cli_in_child_processes(name, tmp_path):
+    _, commands = build_corpus(name, tmp_path)
+    for key, argv in commands.items():
+        stdout, code, stderr = _child(argv)
+        assert (hashlib.sha256(stdout).hexdigest(), code) == GOLDEN[name][key], key
+        assert stderr == _run(argv)[2], key
+
+
+@pytest.mark.parametrize("argv, code", [(["passport"], 2), (["--help"], 0)])
+def test_usage_error_and_help_in_a_child_process(argv, code, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+    assert exit_.value.code == code
+    assert _child(argv) == (out.getvalue().encode("utf-8"), code, err.getvalue())
 
 
 INPUTS: dict[str, dict[str, str]] = {
