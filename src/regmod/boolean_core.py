@@ -2,16 +2,22 @@
 
 The algebra is the powerset of a fixed finite atom set; idempotents are
 bitmasks over the atoms, so meet/join/complement are single machine-word
-operations and every supremum exists trivially.
+operations and every supremum exists trivially.  Bit i is atom i, and only
+this module knows it: other modules build a mask from indices with
+`AtomSet.mask_of` and read one with `Idempotent.selector`, each one linear pass.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContextMismatchError, NotMinorantError, Record, ValidationError
 from .fields import _quote
+
+_BITS = (1, 2, 4, 8, 16, 32, 64, 128)
+_SELECT = bytes.maketrans(b"01", b"\0\1")  # a binary digit to a 0 or 1 byte
 
 
 class AtomSet(Record):
@@ -47,11 +53,19 @@ class AtomSet(Record):
     def atom(self, label: str) -> "Idempotent":
         return Idempotent(self, 1 << self.index(label))
 
+    def mask_of(self, indices: Iterable[int]) -> int:
+        """Mask of the atoms at the given indices (any order, repeats allowed)."""
+        packed = bytearray((len(self.labels) + 7) // 8)
+        for q in indices:
+            packed[q >> 3] |= _BITS[q & 7]
+        return int.from_bytes(packed, "little")
+
     def subset(self, labels: Iterable[str]) -> "Idempotent":
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return Idempotent(self, mask)
+        index = {label: i for i, label in enumerate(self.labels)}
+        try:
+            return Idempotent(self, self.mask_of([index[label] for label in labels]))
+        except KeyError as exc:
+            raise ValueError(f"unknown atom label {_quote(exc.args[0])}") from None
 
     def atoms(self) -> tuple["Idempotent", ...]:
         return tuple(Idempotent(self, 1 << i) for i in range(len(self.labels)))
@@ -85,11 +99,15 @@ class Idempotent(Record):
     def count(self) -> int:
         return self.mask.bit_count()
 
+    def selector(self) -> bytes:
+        """One byte per atom, 1 where the atom is in the idempotent and 0 elsewhere."""
+        return format(self.mask, f"0{len(self.context)}b")[::-1].encode().translate(_SELECT)
+
     def atom_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.context)) if self.mask >> i & 1)
+        return tuple(compress(range(len(self.context)), self.selector()))
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.context.labels[i] for i in self.atom_indices())
+        return tuple(compress(self.context.labels, self.selector()))
 
     def contains_atom(self, index: int) -> bool:
         return bool(self.mask >> index & 1)

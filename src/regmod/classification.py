@@ -145,7 +145,7 @@ def regular_eliminate(
     if e.is_zero:
         raise ZeroIdempotentError("elimination needs a nonzero starting idempotent")
     field = gens.field
-    keep = [e.contains_atom(q) for q in range(len(e.context))]
+    keep = e.selector()
     rows, cols = len(gens.gens), gens.ambient_dim
     values = chain.from_iterable(c.values for g in gens.gens for c in g.coords)
     atoms = e.atom_indices()
@@ -167,7 +167,7 @@ def regular_eliminate(
         if best < n:  # the pivot misses some atoms: split off the residual region
             rest = list(compress(atoms, map(not_, pivot)))  # scalars are falsy exactly when zero
             atoms = list(compress(atoms, pivot))
-            support = Idempotent(e.context, sum(1 << q for q in atoms))
+            support = Idempotent(e.context, e.context.mask_of(atoms))
             flat, residual = field.split_row(flat, pivot)
             work.append((Idempotent(e.context, region.mask - support.mask), rest,
                          residual, rows, cols, rank))
@@ -409,7 +409,7 @@ def build_isomorphism(gens: GeneratorSet, other: GeneratorSet) -> IsoMap:
         )
         pieces.append(
             IsoPiece(
-                Idempotent(context, sum(1 << q for q in atoms)),
+                Idempotent(context, context.mask_of(atoms)),
                 rank,
                 tuple(_selected_basis(gens, {q: source[q][1] for q in atoms}, rank)),
                 tuple(_selected_basis(other, {q: target[q] for q in atoms}, rank)),

@@ -131,10 +131,10 @@ def _parse_piece(context: AtomSet, text: str) -> Idempotent:
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
         raise ValidationError("piece needs at least one atom label")
-    for label in labels:
-        if label not in context.labels:
-            raise ValidationError(f"unknown atom label {_quote(label)}")
-    return context.subset(labels)
+    try:
+        return context.subset(labels)
+    except ValueError as exc:  # names the first unknown label, in text order
+        raise ValidationError(str(exc)) from None
 
 
 def cmd_basis(args: argparse.Namespace) -> int:

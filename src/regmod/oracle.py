@@ -74,13 +74,12 @@ def atom_rank_profile(gens: GeneratorSet) -> RankProfile:
 def oracle_passport(gens: GeneratorSet) -> Passport:
     """Passport obtained by grouping atoms directly by their fiber rank."""
     profile = atom_rank_profile(gens)
-    by_rank: dict[int, int] = {}
+    by_rank: dict[int, list[int]] = {}
     for q, label in enumerate(gens.context.labels):
-        r = profile.ranks[label]
-        by_rank[r] = by_rank.get(r, 0) | (1 << q)
+        by_rank.setdefault(profile.ranks[label], []).append(q)
     entries = tuple(
-        PassportEntry(Idempotent(gens.context, mask), rank)
-        for rank, mask in sorted(by_rank.items())
+        PassportEntry(Idempotent(gens.context, gens.context.mask_of(atoms)), rank)
+        for rank, atoms in sorted(by_rank.items())
     )
     return Passport(entries)
 

@@ -140,7 +140,7 @@ def random_generator_set(
     context = AtomSet(default_labels(d))
     m = 0 if rng.below(10) == 0 else 1 + rng.below(max_gens)
     gens = [random_vector(field, context, n, rng) for _ in range(m)]
-    alive = Idempotent(context, sum(1 << q for q in range(d) if rng.below(8)))
+    alive = Idempotent(context, context.mask_of([q for q in range(d) if rng.below(8)]))
     return GeneratorSet(field, context, n, tuple(g.restrict(alive) for g in gens))
 
 

@@ -94,11 +94,8 @@ class AlgebraElement(Record):
 
     def support(self) -> Idempotent:
         zero = self.field.zero
-        mask = 0
-        for i, v in enumerate(self.values):
-            if v != zero:
-                mask |= 1 << i
-        return Idempotent(self.context, mask)
+        atoms = [i for i, v in enumerate(self.values) if v != zero]
+        return Idempotent(self.context, self.context.mask_of(atoms))
 
     def annihilator(self) -> Idempotent:
         """Largest idempotent killing the element; complement of the support."""
@@ -111,27 +108,22 @@ class AlgebraElement(Record):
         return AlgebraElement(
             self.field,
             self.context,
-            tuple(v if e.contains_atom(i) else zero for i, v in enumerate(self.values)),
+            tuple(v if keep else zero for v, keep in zip(self.values, e.selector())),
         )
 
     def step_form(self) -> "StepForm":
         """Group atoms carrying equal nonzero values into disjoint pieces.
 
-        Terms are ordered by the first atom index of their piece, which makes
-        the representation canonical.
+        Terms are ordered by the first atom index of their piece (the order of
+        `by_value`), which makes the representation canonical.
         """
         zero = self.field.zero
-        by_value: dict[Scalar, int] = {}
+        by_value: dict[Scalar, list[int]] = {}
         for i, v in enumerate(self.values):
             if v != zero:
-                by_value[v] = by_value.get(v, 0) | (1 << i)
-        terms = tuple(
-            StepTerm(value, Idempotent(self.context, mask))
-            for value, mask in sorted(
-                by_value.items(), key=lambda item: (item[1] & -item[1]).bit_length()
-            )
-        )
-        return StepForm(terms)
+                by_value.setdefault(v, []).append(i)
+        return StepForm(tuple(StepTerm(value, Idempotent(self.context, self.context.mask_of(atoms)))
+                              for value, atoms in by_value.items()))
 
     def render(self) -> str:
         return "(" + ",".join(self.field.render(v) for v in self.values) + ")"

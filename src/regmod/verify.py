@@ -114,11 +114,9 @@ def _random_context(rng: SplitMix64) -> tuple[Field, AtomSet]:
 def _random_partition(context: AtomSet, rng: SplitMix64) -> PartitionOfUnity:
     blocks = 1 + rng.below(min(3, len(context)))
     assignment = [rng.below(blocks) for _ in range(len(context))]
-    masks: dict[int, int] = {}
-    for q, b in enumerate(assignment):
-        masks[b] = masks.get(b, 0) | (1 << q)
-    pieces = tuple(Idempotent(context, masks[b]) for b in sorted(masks))
-    return PartitionOfUnity(pieces)
+    return PartitionOfUnity(tuple(
+        Idempotent(context, context.mask_of(q for q, b in enumerate(assignment) if b == block))
+        for block in sorted(set(assignment))))
 
 
 def _describe_element(a: AlgebraElement) -> str:
@@ -319,8 +317,8 @@ def _check_gluing(gens: GeneratorSet) -> Optional[str]:
         if entry.piece.count >= 2:
             indices = entry.piece.atom_indices()
             half = len(indices) // 2
-            e1 = Idempotent(gens.context, sum(1 << q for q in indices[:half]))
-            e2 = Idempotent(gens.context, sum(1 << q for q in indices[half:]))
+            e1 = Idempotent(gens.context, gens.context.mask_of(indices[:half]))
+            e2 = Idempotent(gens.context, gens.context.mask_of(indices[half:]))
             if kappa(gens, e1) != entry.rank or kappa(gens, e2) != entry.rank:
                 return "kappa differs from the piece rank on a sub-idempotent"
             if kappa(gens, e1.join(e2)) != entry.rank:

@@ -190,3 +190,62 @@ def test_sup_family_refuses_another_atom_set(ctx):
     assert sup_family(iter([ctx.atom("q2")]), context=ctx) == ctx.atom("q2")
     with pytest.raises(ValueError, match="empty family needs an explicit atom set"):
         sup_family(iter([]))
+
+
+# -- the two bit-layout primitives against bit-by-bit references --
+
+BOUNDARY_SIZES = (1, 7, 8, 9, 63, 64, 65)
+
+
+@st.composite
+def sized_index_lists(draw):
+    d = draw(st.sampled_from(BOUNDARY_SIZES) | st.integers(min_value=1, max_value=300))
+    return d, draw(st.lists(st.integers(min_value=0, max_value=d - 1), max_size=2 * d))
+
+
+@given(sized_index_lists())
+def test_mask_of_matches_a_bit_by_bit_sum(case):
+    # the lists come in any order and may repeat an index or be empty
+    d, indices = case
+    ctx = AtomSet(tuple(f"a{i}" for i in range(d)))
+    assert ctx.mask_of(indices) == sum(1 << q for q in set(indices))
+    assert ctx.mask_of(iter(indices)) == ctx.mask_of(sorted(indices))
+
+
+@st.composite
+def sized_masks(draw):
+    d = draw(st.sampled_from(BOUNDARY_SIZES) | st.integers(min_value=1, max_value=300))
+    mask = draw(st.sampled_from((0, (1 << d) - 1)) | st.integers(min_value=0, max_value=(1 << d) - 1))
+    return d, mask
+
+
+@given(sized_masks())
+def test_selector_matches_a_bit_by_bit_probe(case):
+    d, mask = case
+    ctx = AtomSet(tuple(f"a{i}" for i in range(d)))
+    e = Idempotent(ctx, mask)
+    selector = e.selector()
+    assert isinstance(selector, bytes)
+    assert list(selector) == [mask >> i & 1 for i in range(d)]
+    assert e.atom_indices() == tuple(i for i in range(d) if mask >> i & 1)
+    assert e.labels() == tuple(f"a{i}" for i in range(d) if mask >> i & 1)
+    assert ctx.mask_of(e.atom_indices()) == mask
+
+
+@pytest.mark.parametrize("d", BOUNDARY_SIZES)
+def test_primitives_at_the_zero_and_full_masks(d):
+    ctx = AtomSet(tuple(f"a{i}" for i in range(d)))
+    assert ctx.mask_of([]) == 0
+    assert ctx.mask_of(range(d)) == ctx.full_mask
+    assert ctx.empty().selector() == bytes(d)
+    assert ctx.full().selector() == b"\1" * d
+    assert ctx.empty().atom_indices() == () and ctx.empty().render() == "{}"
+    assert ctx.full().atom_indices() == tuple(range(d))
+
+
+def test_subset_names_the_first_unknown_label_with_a_value_error(ctx):
+    assert ctx.subset(["q3", "q1", "q3"]) == Idempotent(ctx, 0b101)
+    assert ctx.subset(iter(["q2"])) == ctx.atom("q2")
+    assert ctx.subset([]) == ctx.empty()
+    with pytest.raises(ValueError, match="^unknown atom label 'x'$"):
+        ctx.subset(["q1", "x", "y"])

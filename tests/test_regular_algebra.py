@@ -215,3 +215,17 @@ def test_step_form_refuses_a_piece_over_another_atom_set(f5, ctx):
     form = StepForm((StepTerm(2, other.subset(["a"])),))
     with pytest.raises(ContextMismatchError):
         form.to_element(f5, ctx)
+
+
+def test_support_and_step_form_treat_a_fraction_zero_as_zero():
+    q = RationalField()
+    ctx = AtomSet(tuple(f"t{i}" for i in range(10)))
+    values = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(1, 2),
+              Fraction(0), Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(0))
+    a = AlgebraElement(q, ctx, values)
+    assert a.support() == Idempotent(ctx, 0b0101011010)
+    assert a.step_form() == StepForm((StepTerm(Fraction(1, 2), Idempotent(ctx, 0b0100010010)),
+                                      StepTerm(Fraction(-3), Idempotent(ctx, 0b0001001000))))
+    assert a.restrict(a.support()) == a
+    assert a.restrict(ctx.atom("t3")).values == (Fraction(0),) * 3 + (Fraction(-3),) + (Fraction(0),) * 6
+    assert AlgebraElement(q, ctx, (Fraction(0),) * 10).step_form() == StepForm(())
