@@ -80,7 +80,7 @@ class Idempotent(Record):
     def __post_init__(self):
         if not isinstance(self.mask, int):
             raise ValidationError(f"mask must be an int, not {type(self.mask).__name__}")
-        if not 0 <= self.mask <= self.context.full_mask:
+        if self.mask < 0 or self.mask.bit_length() > len(self.context):
             raise ValidationError(f"mask {_quote(self.mask)} outside atom set of size {len(self.context)}")
 
     def _require_same_context(self, other: "Idempotent") -> None:

@@ -3,7 +3,8 @@
 Commands: passport, iso, basis, member, verify, gen.  Exit codes follow the
 comparison-tool convention: 0 = yes/success, 1 = no (not isomorphic, not a
 member, not homogeneous, property failure), 2 = error (unreadable, malformed
-or inconsistent input).  `--json` switches the structured commands to JSON.
+or inconsistent input).  Each command but gen returns an `Answer`, and `main`
+alone writes it: as JSON under `--json`, else as text.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .boolean_core import AtomSet, Idempotent
 from .classification import (
@@ -56,15 +57,23 @@ def _print_json(obj: object) -> None:
     write("\n")
 
 
-def cmd_passport(args: argparse.Namespace) -> int:
+class Answer(NamedTuple):
+    """A command's answer: its exit code, its JSON value (a row may be a lazy iterator,
+    as `_print_json` takes it) and its text lines.  Only the form asked for is built."""
+
+    code: int
+    json: Callable[[], object]
+    text: Callable[[], Iterable[str]]
+
+
+def cmd_passport(args: argparse.Namespace) -> Answer:
     gens = _load(args.file)
     pp = passport(gens)
-    if args.json:
-        _print_json({"passport": _passport_json(pp), "faithful": pp.faithful})
-    else:
-        print(pp.render())
-        print(f"faithful={'true' if pp.faithful else 'false'}")
-    return 0
+    return Answer(
+        0,
+        lambda: {"passport": _passport_json(pp), "faithful": pp.faithful},
+        lambda: (pp.render(), f"faithful={'true' if pp.faithful else 'false'}"),
+    )
 
 
 def _first_difference(pa: Passport, pb: Passport) -> tuple[str, str]:
@@ -76,55 +85,43 @@ def _first_difference(pa: Passport, pb: Passport) -> tuple[str, str]:
     return "(none)", "(none)"
 
 
-def cmd_iso(args: argparse.Namespace) -> int:
+def cmd_iso(args: argparse.Namespace) -> Answer:
     left = _load(args.file_a)
     right = _load(args.file_b)
     if not left.same_algebra(right):
         raise ValidationError("inputs use different fields or atom sets")
     pa, pb = passport(left), passport(right)
-    if pa == pb:
-        iso_map = None
-        if args.emit_map and pa.faithful:
-            iso_map = build_isomorphism(left, right)
-        if args.json:
-            payload = {"isomorphic": True, "passport": _passport_json(pa)}
-            if iso_map is not None:
-                payload["map"] = {
-                    "pieces": [
-                        {
-                            "piece": list(pc.piece.labels()),
-                            "rank": pc.rank,
-                            "source_basis": [_vector_json(v) for v in pc.source_basis],
-                            "target_basis": [_vector_json(v) for v in pc.target_basis],
-                        }
-                        for pc in iso_map.pieces
-                    ],
-                    "generator_images": [
-                        _vector_json(v) for v in iso_map.generator_images
-                    ],
-                }
-            _print_json(payload)
-        else:
-            print("ISOMORPHIC")
-            if iso_map is not None:
-                print(iso_map.render())
-            elif args.emit_map:
-                print("map omitted: a rank-0 piece is present", file=sys.stderr)
-        return 0
-    diff_a, diff_b = _first_difference(pa, pb)
-    if args.json:
-        _print_json(
-            {
-                "isomorphic": False,
-                "passport_a": _passport_json(pa),
-                "passport_b": _passport_json(pb),
-                "first_difference": {"a": diff_a, "b": diff_b},
-            }
+    if pa != pb:
+        diff_a, diff_b = _first_difference(pa, pb)
+        return Answer(
+            1,
+            lambda: {"isomorphic": False, "passport_a": _passport_json(pa),
+                     "passport_b": _passport_json(pb),
+                     "first_difference": {"a": diff_a, "b": diff_b}},
+            lambda: ("NOT ISOMORPHIC", f"first difference: {diff_a} vs {diff_b}"),
         )
-    else:
-        print("NOT ISOMORPHIC")
-        print(f"first difference: {diff_a} vs {diff_b}")
-    return 1
+    iso_map = build_isomorphism(left, right) if args.emit_map and pa.faithful else None
+
+    def json_value() -> dict:
+        payload = {"isomorphic": True, "passport": _passport_json(pa)}
+        if iso_map is not None:
+            payload["map"] = {
+                "pieces": [{"piece": list(pc.piece.labels()), "rank": pc.rank,
+                            "source_basis": [_vector_json(v) for v in pc.source_basis],
+                            "target_basis": [_vector_json(v) for v in pc.target_basis]}
+                           for pc in iso_map.pieces],
+                "generator_images": [_vector_json(v) for v in iso_map.generator_images],
+            }
+        return payload
+
+    def text() -> Iterator[str]:
+        yield "ISOMORPHIC"
+        if iso_map is not None:
+            yield iso_map.render()
+        elif args.emit_map:  # a text-only note, written after the verdict line
+            print("map omitted: a rank-0 piece is present", file=sys.stderr)
+
+    return Answer(0, json_value, text)
 
 
 def _parse_piece(context: AtomSet, text: str) -> Idempotent:
@@ -137,34 +134,32 @@ def _parse_piece(context: AtomSet, text: str) -> Idempotent:
         raise ValidationError(str(exc)) from None
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: argparse.Namespace) -> Answer:
     gens = _load(args.file)
     piece = _parse_piece(gens.context, args.piece)
     rank = kappa(gens, piece)
     if rank is None:
-        if args.json:
-            _print_json({"homogeneous": False, "piece": list(piece.labels())})
-        else:
-            print(f"NOT HOMOGENEOUS on piece={piece.render()}")
-        return 1
-    basis = extract_basis(gens, piece, rank, args.strategy)
-    if args.json:
-        _print_json(
-            {
-                "homogeneous": True,
-                "piece": list(piece.labels()),
-                "rank": rank,
-                "basis": [_vector_json(v) for v in basis],
-            }
+        return Answer(
+            1,
+            lambda: {"homogeneous": False, "piece": list(piece.labels())},
+            lambda: (f"NOT HOMOGENEOUS on piece={piece.render()}",),
         )
-    else:
-        print(f"rank={rank}")
+    basis = extract_basis(gens, piece, rank, args.strategy)
+
+    def text() -> Iterator[str]:
+        yield f"rank={rank}"
         for i, v in enumerate(basis):
-            print(f"basis[{i}]={v.render()}")
-    return 0
+            yield f"basis[{i}]={v.render()}"
+
+    return Answer(
+        0,
+        lambda: {"homogeneous": True, "piece": list(piece.labels()), "rank": rank,
+                 "basis": [_vector_json(v) for v in basis]},
+        text,
+    )
 
 
-def cmd_member(args: argparse.Namespace) -> int:
+def cmd_member(args: argparse.Namespace) -> Answer:
     gens = _load(args.file)
     wrapper = _load(args.vector)
     if len(wrapper.gens) != 1:
@@ -173,60 +168,51 @@ def cmd_member(args: argparse.Namespace) -> int:
         raise ValidationError("vector and module use different fields, atoms or dimension")
     x = wrapper.gens[0]
     result = membership(x, gens, gens.context.full())
-    if result.contained:
-        assert result.coefficients is not None
-        if args.json:
-            _print_json(
-                {
-                    "member": True,
-                    "coefficients": [
-                        map(gens.field.render, c.values) for c in result.coefficients
-                    ],
-                }
-            )
-        else:
-            print("MEMBER")
-            for k, c in enumerate(result.coefficients):
-                print(f"coeff[{k}]={c.render()}")
-        return 0
-    if args.json:
-        _print_json({"member": False, "witness_atom": result.witness_atom})
-    else:
-        print(f"NOT A MEMBER (witness atom {result.witness_atom})")
-    return 1
+    if not result.contained:
+        return Answer(
+            1,
+            lambda: {"member": False, "witness_atom": result.witness_atom},
+            lambda: (f"NOT A MEMBER (witness atom {result.witness_atom})",),
+        )
+    coefficients = result.coefficients
+    assert coefficients is not None
+
+    def text() -> Iterator[str]:
+        yield "MEMBER"
+        for k, c in enumerate(coefficients):
+            yield f"coeff[{k}]={c.render()}"
+
+    return Answer(
+        0,
+        lambda: {"member": True,
+                 "coefficients": [map(gens.field.render, c.values) for c in coefficients]},
+        text,
+    )
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Answer:
     from .verify import run_suite
     if args.cases < 1:
         raise ValidationError("cases must be at least 1")
     results = run_suite(args.seed, args.cases)
-    all_ok = all(r.ok for r in results)
-    if args.json:
-        _print_json(
-            [
-                {
-                    "name": r.name,
-                    "cases": r.cases,
-                    "passed": r.passed,
-                    "ok": r.ok,
-                    "failure": r.failure,
-                    "counterexample": r.counterexample,
-                }
-                for r in results
-            ]
-        )
-    else:
+
+    def text() -> Iterator[str]:
         for r in results:
             if r.ok:
-                print(f"{r.name}: {r.passed}/{r.cases} passed")
+                yield f"{r.name}: {r.passed}/{r.cases} passed"
             else:
-                print(f"{r.name}: FAILED at case {r.passed + 1} of {r.cases}")
-                print(f"  reason: {r.failure}")
-                print("  counterexample:")
+                yield f"{r.name}: FAILED at case {r.passed + 1} of {r.cases}"
+                yield f"  reason: {r.failure}"
+                yield "  counterexample:"
                 for line in (r.counterexample or "").splitlines():
-                    print(f"    {line}")
-    return 0 if all_ok else 1
+                    yield f"    {line}"
+
+    return Answer(
+        0 if all(r.ok for r in results) else 1,
+        lambda: [{"name": r.name, "cases": r.cases, "passed": r.passed, "ok": r.ok,
+                  "failure": r.failure, "counterexample": r.counterexample} for r in results],
+        text,
+    )
 
 
 def _parse_field_arg(text: str) -> Field:
@@ -319,11 +305,23 @@ def _os_error_text(exc: OSError) -> str:
     return f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(names)}"
 
 
+def _write(answer: Answer, as_json: bool) -> int:
+    """The one render point: the answer in the form asked for, then its exit code."""
+    if as_json:
+        _print_json(answer.json())
+    else:
+        for line in answer.text():
+            print(line)
+    return answer.code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        answer = args.handler(args)
+        # gen streams its module file itself and returns only its exit code
+        return answer if isinstance(answer, int) else _write(answer, args.json)
     except RegmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ the syntax tree alone, in the style of `tests/test_dead_code.py`.  A single
 
 The timing test reads both primitives, and `restrict` and `support` built on
 them, at d = 2^14 and 2^18: linear time gives a ratio near 16, and a loop
-that shifts the whole mask once per atom gives well over 100.
+that shifts the whole mask once per atom gives well over 100.  Building an
+`Idempotent` checks its mask's range in constant time, whatever d.
 """
 
 from __future__ import annotations
@@ -95,3 +96,17 @@ def test_mask_primitives_scale_linearly_in_d():
     small, large = _timings(2**14, 7), _timings(2**18, 3)
     ratios = {name: large[name] / small[name] for name in small}
     assert all(ratio < 64 for ratio in ratios.values()), ratios
+
+
+def test_idempotent_range_check_is_constant_in_d():
+    # the check once built the d-bit `full_mask` per construction: a ratio of 14 here
+    def construct(context, mask):
+        for _ in range(2000):
+            Idempotent(context, mask)
+
+    def best(d):
+        context = AtomSet(default_labels(d))
+        return _best_of(5, construct, context, random.Random(d).getrandbits(d))
+
+    small, large = best(2**12), best(2**18)
+    assert large / small < 4, (small, large)

@@ -377,3 +377,39 @@ def test_recombination_preserves_passport_random(seed):
     gens = random_generator_set(rng, max_atoms=6, max_gens=4, max_ambient=4)
     other = recombined_copy(gens, rng, ops=5)
     assert passport(gens) == passport(other)
+
+
+def _small_integer_grids(rng: SplitMix64, d: int, n: int, m: int) -> list[list[list[int]]]:
+    """m generators of n coordinate rows of d integers in [-4, 4].  At each atom a
+    generator after the first may negate an earlier one's fiber or vanish, so ranks drop."""
+    fibers = []
+    for _ in range(d):
+        rows: list[list[int]] = []
+        for _ in range(m):
+            kind = rng.below(4) if rows else 0
+            if kind < 2:
+                rows.append([rng.below(9) - 4 for _ in range(n)])
+            else:
+                rows.append([-x for x in rows[rng.below(len(rows))]] if kind == 2 else [0] * n)
+        fibers.append(rows)
+    return [[[fibers[q][k][j] for q in range(d)] for j in range(n)] for k in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_rational_passport_is_its_reduction_mod_a_large_prime(seed):
+    # Hadamard: a k x k minor with entries in [-4, 4], k <= 8, is below
+    # 4^8 * 8^4 < 3e8 in absolute value, so a nonzero one stays nonzero mod
+    # 2^61 - 1 and every fiber rank survives the reduction; no oracle is needed.
+    rng = SplitMix64(seed)
+    d, n, m = 1 + rng.below(6), 1 + rng.below(8), 1 + rng.below(8)
+    grids = _small_integer_grids(rng, d, n, m)
+    ctx = AtomSet(default_labels(d))
+
+    def passport_over(field):  # coerce reduces each int into the field
+        return passport(GeneratorSet.from_grids(field, ctx, n, grids))
+
+    over_q = passport_over(RationalField())
+    assert passport_over(PrimeField(2**61 - 1)) == over_q
+    over_f5 = passport_over(PrimeField(5))
+    assert all(over_f5.rank_at(q) <= over_q.rank_at(q) for q in range(d))

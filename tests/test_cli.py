@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import regmod
 import regmod.classification
+import regmod.cli
 from regmod import AtomSet, parse_module_file, render_module_file
 from regmod.cli import _parse_piece, _print_json, main
 from regmod.randgen import default_labels
@@ -593,6 +595,80 @@ def test_cli_import_leaves_verify_and_randgen_unloaded():
         env={"PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one answer path: commands return an Answer, and main alone picks its form
+
+def _args_json_reads(tree: ast.AST) -> list[str]:
+    """The innermost function (or `<lambda>`) around each `args.json` read, in source order."""
+    reads = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "json"
+                    and isinstance(child.value, ast.Name) and child.value.id == "args"):
+                reads.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else owner)
+
+    visit(tree, "<module>")
+    return reads
+
+
+def test_args_json_is_read_in_main_alone():
+    tree = ast.parse(Path(regmod.cli.__file__).read_text(encoding="utf-8"))
+    assert _args_json_reads(tree) == ["main"]
+
+
+@pytest.mark.parametrize("source, owners", [
+    ("def f(args):\n    if args.json:\n        return args.json", ["f", "f"]),
+    ("def f(args):\n    def g():\n        return args.json\n    return lambda: args.json",
+     ["g", "<lambda>"]),
+    ("def f(args, opts):\n    return opts.json, args.jsonish", []),
+])
+def test_the_json_read_guard_names_the_innermost_function(source, owners):
+    assert _args_json_reads(ast.parse(source)) == owners
+
+
+def test_every_answer_but_gens_goes_through_the_one_render_point(
+        fixture_file, tmp_path, monkeypatch, capsys):
+    vector = write_doc(tmp_path, "v.json", FIXTURE_DOC.replace(
+        '[["1", "1", "1"], ["0", "0", "0"]],\n    [["0", "0", "0"], ["1", "0", "1"]]',
+        '[["2", "2", "2"], ["3", "0", "3"]]'))
+    commands = {
+        "passport": ["passport", fixture_file],
+        "iso": ["iso", fixture_file, fixture_file, "--emit-map"],
+        "basis": ["basis", fixture_file, "--piece", "q1,q3"],
+        "member": ["member", fixture_file, "--vector", vector],
+        "verify": ["verify", "--seed", "1", "--cases", "2"],
+    }
+    seen = []
+    write = regmod.cli._write
+
+    def recording(answer, as_json):
+        assert capsys.readouterr() == ("", "")  # the command itself printed nothing
+        seen.append(as_json)
+        return write(answer, as_json)
+
+    monkeypatch.setattr(regmod.cli, "_write", recording)
+    json_rows = []  # no JSON value is built for a text answer
+    for helper in ("_passport_json", "_vector_json"):
+        def counted(value, _original=getattr(regmod.cli, helper)):
+            json_rows.append(value)
+            return _original(value)
+        monkeypatch.setattr(regmod.cli, helper, counted)
+    for name, argv in commands.items():
+        for flag in ([], ["--json"]):
+            seen.clear()
+            json_rows.clear()
+            assert main(argv + flag) == 0, name
+            assert seen == [bool(flag)] and capsys.readouterr().out, name
+            assert flag or json_rows == [], name
+    seen.clear()
+    assert main(["gen", "--seed", "1", "--atoms", "3", "--ambient", "2", "--gens", "2",
+                 "--field", "fp:5"]) == 0
+    assert seen == [] and capsys.readouterr().out.startswith("{")
 
 
 # ---------------------------------------------------------------------------
