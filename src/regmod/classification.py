@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroIdempotentError,
 )
-from .fields import Field
+from .fields import Field, _quote
 from .module_space import (
     GeneratorSet,
     ModuleVector,
@@ -47,6 +47,8 @@ class PassportEntry(Record):
     def __post_init__(self):
         if self.piece.is_zero:
             raise ValidationError("passport piece must be nonzero")
+        if type(self.rank) is not int:  # no bool, float or Fraction
+            raise ValidationError(f"passport rank {_quote(self.rank)} is not an int")
         if self.rank < 0:
             raise ValidationError("passport rank must be nonnegative")
 
@@ -207,15 +209,15 @@ def atom_rank(gens: GeneratorSet, atom_index: int) -> int:
 def kappa(gens: GeneratorSet, e: Idempotent) -> Optional[int]:
     """Homogeneity rank of the module restricted to e.
 
-    0 for e = 0; the common value when the per-atom rank is constant on e;
-    None when no single rank fits (the restriction is not homogeneous —
+    0 for e = 0; the common rank of the leaves when one elimination of e
+    gives them all one; None when no single rank fits (not homogeneous —
     that is an answer, not a failure).
     """
     if e.context != gens.context:
         raise ContextMismatchError("idempotent over a different atom set")
     if e.is_zero:
         return 0
-    ranks = {atom_rank(gens, q) for q in e.atom_indices()}
+    ranks = {rank for _, rank in regular_eliminate(gens, e)[0]}
     if len(ranks) == 1:
         return ranks.pop()
     return None

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from regmod import (
     AtomSet,
     ContextMismatchError,
     GeneratorSet,
+    Idempotent,
     ModuleVector,
     NotInModuleError,
     Passport,
@@ -20,6 +24,7 @@ from regmod import (
     ValidationError,
     ZeroIdempotentError,
     atom_rank,
+    atom_rank_profile,
     build_isomorphism,
     combine,
     extract_basis,
@@ -162,6 +167,12 @@ def test_passport_validation(f5, ctx):
         PassportEntry(ctx.empty(), 1)
 
 
+@pytest.mark.parametrize("rank", [1.5, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+def test_passport_entry_rank_must_be_an_int(ctx, rank):
+    with pytest.raises(ValidationError, match=re.escape(f"passport rank {rank!r} is not an int")):
+        PassportEntry(ctx.subset(["q2"]), rank)
+
+
 def test_passport_validation_through_partition(f5, ctx):
     q12 = ctx.subset(["q1", "q2"])
     q23 = ctx.subset(["q2", "q3"])
@@ -180,6 +191,25 @@ def test_kappa(f5, ctx, fixture_gens):
     assert kappa(fixture_gens, ctx.full()) is None
     assert kappa(fixture_gens, ctx.empty()) == 0
     assert kappa(fixture_gens, ctx.subset(["q2"])) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([PrimeField(2), PrimeField(5), PrimeField(97), RationalField()]),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.data(),
+)
+def test_kappa_matches_the_oracle(field, seed, data):
+    """kappa is the one oracle rank over e's atoms, or None when there are several."""
+    # about one draw in ten has no generators, and some atoms are dead in every generator
+    gens = random_generator_set(SplitMix64(seed), field, max_atoms=8, max_gens=4, max_ambient=4)
+    atoms = st.integers(min_value=0, max_value=len(gens.context) - 1)
+    chosen = data.draw(st.one_of(atoms.map(lambda q: [q]), st.lists(atoms, min_size=1)))
+    e = Idempotent(gens.context, gens.context.mask_of(chosen))
+    profile = atom_rank_profile(gens).ranks
+    ranks = {profile[label] for label in e.labels()}
+    assert kappa(gens, e) == (min(ranks) if len(ranks) == 1 else None)
+    assert is_strictly_homogeneous(gens, e) == (len(ranks) == 1)
 
 
 def test_strict_homogeneity(f5, ctx, fixture_gens):
