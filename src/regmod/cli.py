@@ -3,8 +3,8 @@
 Commands: passport, iso, basis, member, verify, gen.  Exit codes follow the
 comparison-tool convention: 0 = yes/success, 1 = no (not isomorphic, not a
 member, not homogeneous, property failure), 2 = error (unreadable, malformed
-or inconsistent input).  Each command but gen returns an `Answer`, and `main`
-alone writes it: as JSON under `--json`, else as text.
+or inconsistent input).  Each command returns an `Answer`, and `main` alone
+writes it: as JSON under `--json` (always, for gen), else as text.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .classification import (
     passport,
 )
 from .errors import ParseError, RegmodError, ValidationError
-from .fields import _FP_SCALAR, Field, PrimeField, RationalField, _quote
+from .fields import _quote, parse_field_spec
 from .module_file import _dump, module_document, parse_module_file
 from .module_space import GeneratorSet, ModuleVector, membership
 from .rng import SplitMix64
@@ -63,7 +63,7 @@ class Answer(NamedTuple):
 
     code: int
     json: Callable[[], object]
-    text: Callable[[], Iterable[str]]
+    text: Callable[[], Iterable[str]] = tuple  # gen answers in JSON alone
 
 
 def cmd_passport(args: argparse.Namespace) -> Answer:
@@ -215,35 +215,23 @@ def cmd_verify(args: argparse.Namespace) -> Answer:
     )
 
 
-def _parse_field_arg(text: str) -> Field:
-    if text == "rational":
-        return RationalField()
-    if text.startswith("fp:"):
-        if not _FP_SCALAR.fullmatch(text[3:]):
-            raise ValidationError(
-                f"bad field argument {_quote(text)}: modulus must be a decimal integer"
-            )
-        try:
-            p = int(text[3:], 10)
-        except ValueError:  # more digits than int() converts: far past any usable prime
-            raise ValidationError(f"bad field argument {_quote(text)}: modulus too large") from None
-        return PrimeField(p)
-    raise ValidationError(f"bad field argument {_quote(text)}: use fp:<prime> or rational")
+# gen draws at most this many scalars (atoms × ambient × gens): 16 × F_5 d = 65,536, n = m = 8
+_GEN_SCALAR_LIMIT = 2**26
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> Answer:
     from .randgen import default_labels, random_vector
     if args.atoms < 1 or args.ambient < 1 or args.gens < 1:
         raise ValidationError("atoms, ambient and gens must all be at least 1")
-    field = _parse_field_arg(args.field)
+    scalars = args.atoms * args.ambient * args.gens
+    if scalars > _GEN_SCALAR_LIMIT:
+        raise ValidationError(
+            f"input too large: atoms × ambient × gens = {scalars} exceeds {_GEN_SCALAR_LIMIT}")
+    field = parse_field_spec(args.field)
     rng = SplitMix64(args.seed)
     context = AtomSet(default_labels(args.atoms))
-    vectors = tuple(
-        random_vector(field, context, args.ambient, rng) for _ in range(args.gens)
-    )
-    gens = GeneratorSet(field, context, args.ambient, vectors)
-    _print_json(module_document(gens))
-    return 0
+    vectors = tuple(random_vector(field, context, args.ambient, rng) for _ in range(args.gens))
+    return Answer(0, lambda: module_document(GeneratorSet(field, context, args.ambient, vectors)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", type=int, required=True)
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--field", required=True, help="fp:<prime> or rational")
-    p.set_defaults(handler=cmd_gen)
+    p.set_defaults(handler=cmd_gen, json=True)
 
     return parser
 
@@ -319,9 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        answer = args.handler(args)
-        # gen streams its module file itself and returns only its exit code
-        return answer if isinstance(answer, int) else _write(answer, args.json)
+        return _write(args.handler(args), args.json)
     except RegmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -364,3 +364,19 @@ class RationalField(Record):
 
 
 Field = Union[PrimeField, RationalField]
+
+
+def parse_field_spec(text: str) -> Field:
+    """The field `describe()` names: `fp:<p>` (p a decimal prime) or `rational`."""
+    if text == "rational":
+        return RationalField()
+    bad = f"bad field argument {_quote(text)}"
+    if not text.startswith("fp:"):
+        raise ValidationError(f"{bad}: use fp:<prime> or rational")
+    if not _FP_SCALAR.fullmatch(text[3:]):
+        raise ValidationError(f"{bad}: modulus must be a decimal integer")
+    try:
+        p = int(text[3:], 10)
+    except ValueError:  # more digits than int() converts: far past any usable prime
+        raise ValidationError(f"{bad}: modulus too large") from None
+    return PrimeField(p)

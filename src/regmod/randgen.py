@@ -60,7 +60,7 @@ def random_element(
     _block_values), then from one below() call per draw.
     """
     d = len(context)
-    values = _block_values(field, d, rng, zero_bias) if d >= _MIN_BLOCK_ATOMS else []
+    values = _block_values(field, d, rng, zero_bias)
     values += [
         field.zero if rng.below(zero_bias) == 0 else random_scalar(field, rng)
         for _ in range(d - len(values))
@@ -80,9 +80,6 @@ def random_vector(
     return ModuleVector(
         tuple(random_element(field, context, rng, zero_bias) for _ in range(ambient_dim))
     )
-
-
-_MIN_BLOCK_ATOMS = 8  # below this many atoms the per-draw loop beats a block's fixed cost
 
 
 def _block_values(field: Field, count: int, rng: SplitMix64, zero_bias: int) -> list[Scalar]:

@@ -70,6 +70,28 @@ def test_gen_round_trips(tmp_path, capsys):
     assert render_module_file(gens) == text
 
 
+def test_readme_quick_start_replays_through_main(tmp_path, monkeypatch, capsys):
+    """Each `$ regmod ...` line of README's first Quick start block, run through main():
+    the lines that follow it are its stdout, and `> file` keeps the output for later lines."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0] + "\n"
+    commands = block.split("$ ")[1:]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        line, _, expected = command.partition("\n")
+        words, _, target = line.partition(" > ")
+        program, *argv = words.split()
+        assert program == "regmod", line
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if target:
+            assert expected == "", line
+            (tmp_path / target).write_text(out)
+        else:
+            assert out == expected, line
+
+
 def test_gen_rejects_bad_args(capsys):
     assert main(["gen", "--seed", "1", "--atoms", "3", "--ambient", "2",
                  "--gens", "0", "--field", "fp:5"]) == 2
@@ -80,6 +102,19 @@ def test_gen_rejects_bad_args(capsys):
     assert main(["gen", "--seed", "1", "--atoms", "3", "--ambient", "2",
                  "--gens", "2", "--field", "f2"]) == 2
     assert "field argument" in capsys.readouterr().err
+
+
+def test_gen_past_the_size_cap_exits_2_before_drawing(capsys, monkeypatch):
+    limit = regmod.cli._GEN_SCALAR_LIMIT
+    assert limit >= 16 * 65536 * 8 * 8  # the largest input used anywhere: F_5 d = 65,536, n = m = 8
+    monkeypatch.setattr("regmod.randgen.random_vector", None)  # a draw would be an internal error
+    atoms = limit // 64 + 1
+    start = time.perf_counter()
+    assert main(["gen", "--seed", "1", "--atoms", str(atoms), "--ambient", "8", "--gens", "8",
+                 "--field", "fp:5"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == (
+        "", f"error: input too large: atoms × ambient × gens = {atoms * 64} exceeds {limit}\n")
 
 
 @pytest.mark.parametrize("field", ["fp: 5", "fp:+5", "fp:٥", "fp:5_0", "fp:" + "7" * 5000],
@@ -631,7 +666,7 @@ def test_the_json_read_guard_names_the_innermost_function(source, owners):
     assert _args_json_reads(ast.parse(source)) == owners
 
 
-def test_every_answer_but_gens_goes_through_the_one_render_point(
+def test_every_answer_goes_through_the_one_render_point_once(
         fixture_file, tmp_path, monkeypatch, capsys):
     vector = write_doc(tmp_path, "v.json", FIXTURE_DOC.replace(
         '[["1", "1", "1"], ["0", "0", "0"]],\n    [["0", "0", "0"], ["1", "0", "1"]]',
@@ -642,6 +677,8 @@ def test_every_answer_but_gens_goes_through_the_one_render_point(
         "basis": ["basis", fixture_file, "--piece", "q1,q3"],
         "member": ["member", fixture_file, "--vector", vector],
         "verify": ["verify", "--seed", "1", "--cases", "2"],
+        "gen": ["gen", "--seed", "1", "--atoms", "3", "--ambient", "2", "--gens", "2",
+                "--field", "fp:5"],
     }
     seen = []
     write = regmod.cli._write
@@ -659,16 +696,12 @@ def test_every_answer_but_gens_goes_through_the_one_render_point(
             return _original(value)
         monkeypatch.setattr(regmod.cli, helper, counted)
     for name, argv in commands.items():
-        for flag in ([], ["--json"]):
+        for flag in ([], ["--json"]) if name != "gen" else ([],):  # gen answers in JSON alone
             seen.clear()
             json_rows.clear()
             assert main(argv + flag) == 0, name
-            assert seen == [bool(flag)] and capsys.readouterr().out, name
+            assert seen == [bool(flag) or name == "gen"] and capsys.readouterr().out, name
             assert flag or json_rows == [], name
-    seen.clear()
-    assert main(["gen", "--seed", "1", "--atoms", "3", "--ambient", "2", "--gens", "2",
-                 "--field", "fp:5"]) == 0
-    assert seen == [] and capsys.readouterr().out.startswith("{")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from regmod import (
     ValidationError,
     is_prime,
 )
-from regmod.fields import _quote
+from regmod.fields import _quote, parse_field_spec
+from regmod.randgen import ACCEPTANCE_FIELDS
 
 
 def test_is_prime_small_table():
@@ -33,6 +34,12 @@ def test_is_prime_carmichael():
     assert not is_prime(1)
     assert not is_prime(0)
     assert is_prime(2_147_483_647)  # 2^31 - 1
+
+
+@pytest.mark.parametrize("field", ACCEPTANCE_FIELDS + (PrimeField(2**61 - 1),), ids=str)
+def test_parse_field_spec_inverts_describe(field):
+    parsed = parse_field_spec(field.describe())
+    assert type(parsed) is type(field) and parsed == field
 
 
 def test_prime_field_rejects_composite():

@@ -186,6 +186,31 @@ def test_generated_modules_are_pinned(spec, capsys):
     assert tuple(h.hexdigest() for h in digests) == GENERATOR_PINS[spec]
 
 
+# sha256 of `gen` stdout for seeds 1-3, n = 3, m = 2, at atom counts below the
+# 16 and 64 of the golden corpora: small rows take the block draws too
+SMALL_GEN_PINS = {
+    ("fp:2", 1): "fde47c0db55ee73fb958fa7a8f4a5063538eb896e9e7ce86c3b3b5de66e79972",
+    ("fp:2", 3): "de2555e70b27715f0bf0a7fccf57bebdef182e33226cd835bfaaf56bcc6ca621",
+    ("fp:2", 7): "5f790b8592a0cc15f4e9858417cf88e50b7babe1195e4ee95dc6d9cfc86f5f80",
+    ("fp:97", 1): "142cebb7cb164d4fa776bc8987ea8e72c5f4ee6b500b365a0cf635e453681d96",
+    ("fp:97", 3): "50a66a224c2739135ddcde6bcc6b7caa8391c57a24685459e4e06024dff70583",
+    ("fp:97", 7): "3d8c6e67624f2adb45589264e3dd429bb05d72aabfccbecd13a55eeb2616caea",
+    ("fp:2305843009213693951", 1): "cd6dd486a5b4b2988e2191daec16dca6182a5ee0205e69bc5bb8049cf77500fb",
+    ("fp:2305843009213693951", 3): "fd27dca5d426c70a1a8b26f37087cb115f122d740571574b6d184bdc61404b7d",
+    ("fp:2305843009213693951", 7): "f7e50ab8ce806469be3e21adb388d926432de11e51c7c807382f911d9ed1e187",
+}
+
+
+@pytest.mark.parametrize("spec, atoms", SMALL_GEN_PINS)
+def test_small_generated_modules_are_pinned(spec, atoms, capsys):
+    digest = sha256()
+    for seed in (1, 2, 3):
+        assert main(["gen", "--seed", str(seed), "--atoms", str(atoms), "--ambient", "3",
+                     "--gens", "2", "--field", spec]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SMALL_GEN_PINS[spec, atoms]
+
+
 # ---------------------------------------------------------------------------
 # Block draws: random_element and random_vector take their words a block at a
 # time, and must give what the per-draw loop below gives, value for value and
